@@ -574,16 +574,16 @@ pub fn check_liveness_contract(run: &ShardedRun, profile: &ChaosProfile) -> Vec<
     }
 
     // 6. Counter monotonicity: the final numbers never fall below the
-    //    mid-run snapshot (errors only ever append, lifecycle counters
-    //    only ever increment).
+    //    mid-run snapshot (the exact error count and the lifecycle
+    //    counters only ever increment).
     if let Some((mid, mid_errors)) = &run.mid_snapshot {
-        let final_errors = run.stats.errors().len();
+        let final_errors = run.stats.error_count();
         for (name, before, after) in [
             ("started", mid.started, gauge.started),
             ("completed", mid.completed, gauge.completed),
             ("failed", mid.failed, gauge.failed),
             ("expired", mid.expired, gauge.expired),
-            ("errors", *mid_errors as u64, final_errors as u64),
+            ("errors", *mid_errors, final_errors),
         ] {
             if after < before {
                 violations.push(format!("counter {name} went backwards: {before} -> {after}"));

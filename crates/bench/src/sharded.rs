@@ -236,7 +236,7 @@ pub struct ShardedRun {
     /// Lifecycle counters + error count sampled mid-run (right after the
     /// last wave started), for monotonicity checks against the final
     /// numbers.
-    pub mid_snapshot: Option<(ConcurrencyStats, usize)>,
+    pub mid_snapshot: Option<(ConcurrencyStats, u64)>,
     /// The drain-then-swap record when
     /// [`ShardedWorkload::swap_at_client`] fired. [`ShardedRun::stats`]
     /// stays the v1 ledger; v2's lives in the report.
@@ -504,7 +504,7 @@ fn run_sharded_inner(
     let mut inputs: Vec<ShardInput> = Vec::new();
     let mut outputs: Vec<(usize, ShardOutput)> = Vec::new();
     let mut boundary_log: Vec<String> = Vec::new();
-    let mut mid_snapshot: Option<(ConcurrencyStats, usize)> = None;
+    let mut mid_snapshot: Option<(ConcurrencyStats, u64)> = None;
     let mut swap: Option<SwapReport> = None;
 
     // Unresolved clients keep the loop alive, and so does an unfinished
@@ -637,7 +637,7 @@ fn run_sharded_inner(
             // Stable read: the flush barrier guarantees every worker is
             // idle, so these counters are a deterministic function of
             // (seed, profile, workload).
-            mid_snapshot = Some((stats.concurrency(), stats.errors().len()));
+            mid_snapshot = Some((stats.concurrency(), stats.error_count()));
         }
         bridge.drain_into(&mut outputs);
         messages += outputs.len() as u64;

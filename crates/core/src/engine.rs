@@ -50,36 +50,18 @@ use starlink_automata::{
 };
 use starlink_mdl::{FlatRecord, MdlCodec};
 use starlink_message::AbstractMessage;
+pub use starlink_net::SessionKey;
 use starlink_net::{
-    Actor, ConnId, Context, Datagram, SimAddr, SimDuration, SimTime, TcpEvent, TimerId,
+    Actor, ConnId, Context, Datagram, Leg, SimAddr, SimDuration, SimTime, TcpEvent, TimerId,
+    TraceEvent,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-/// Identity of a bridge session: who originated the interaction.
-///
-/// Hashable so the session table (and [`crate::ShardedBridge`]'s shard
-/// pinning) can use fast hash maps instead of ordered trees.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SessionKey {
-    /// A UDP-originated session, keyed by the originator's endpoint.
-    Peer(SimAddr),
-    /// A TCP-originated session, keyed by the accepted connection.
-    Conn(ConnId),
-    /// A correlator-derived key: (part index, protocol-level id), e.g.
-    /// an SLP XID or DNS transaction id.
-    Correlated(usize, u64),
-}
-
-impl std::fmt::Display for SessionKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SessionKey::Peer(addr) => write!(f, "peer {addr}"),
-            SessionKey::Conn(conn) => write!(f, "conn #{}", conn.0),
-            SessionKey::Correlated(part, id) => write!(f, "part#{part} id {id:#x}"),
-        }
-    }
-}
+/// Bound on the bytes one TCP leg may buffer without holding a complete
+/// message. A leg that crosses it fails its session, so a peer that
+/// streams a never-ending message cannot grow the reassembly buffer.
+pub const REASSEMBLY_CAP: usize = 64 * 1024;
 
 /// Per-protocol session correlation hook (§IV's engine is model-driven;
 /// how a protocol correlates request and response — XID, transaction id,
@@ -872,7 +854,8 @@ impl BridgeEngine {
     /// Unlinks a session's engine-level bookkeeping: expiry timer,
     /// aliases, connection routes, stream buffers and any parked
     /// store-and-forward legs (which are abandoned, keeping the
-    /// parked/replayed/abandoned balance exact).
+    /// parked/replayed/abandoned balance exact). Connections the session
+    /// opened itself are closed; accepted ones belong to their peer.
     fn unlink(&mut self, ctx: &mut Context<'_>, session: &mut Session) {
         if let Some((id, tag)) = session.timer.take() {
             if self.timer_sessions.remove(&tag).is_some() {
@@ -895,6 +878,13 @@ impl BridgeEngine {
             self.conn_sessions.remove(&conn);
             self.buffers.remove(&conn);
         }
+        for part in &mut session.parts {
+            if let Some(conn) = part.client_conn.take() {
+                // Already closed by the peer when this fails; nothing
+                // left to release then.
+                let _ = ctx.tcp_close(conn);
+            }
+        }
     }
 
     /// Ends a session after an event: reaped on completion, torn down on
@@ -906,11 +896,12 @@ impl BridgeEngine {
         if session.failed {
             self.unlink(ctx, &mut session);
             self.stats.record_session_failed();
-            ctx.trace(format!("bridge session {key} failed and was torn down"));
+            ctx.record(TraceEvent::SessionFailed { key });
         } else if self.session_complete(&session) && session.parked.is_empty() {
             self.unlink(ctx, &mut session);
             self.stats.record_session(session.started, ctx.now());
-            ctx.trace(format!("bridge session complete in {}", ctx.now().since(session.started)));
+            let elapsed = ctx.now().since(session.started);
+            ctx.record(TraceEvent::SessionComplete { key, elapsed });
         } else {
             self.sessions.insert(key, session);
         }
@@ -922,15 +913,23 @@ impl BridgeEngine {
                 && session.exec.current() == self.automaton.initial())
     }
 
-    fn apply_actions(&self, ctx: &mut Context<'_>, session: &mut Session, outcome: &StepOutcome) {
+    fn apply_actions(
+        &self,
+        ctx: &mut Context<'_>,
+        key: &SessionKey,
+        session: &mut Session,
+        outcome: &StepOutcome,
+    ) {
         for action in &outcome.actions {
+            let key = key.clone();
             match action {
                 ResolvedAction::SetHost { host, port } => {
-                    ctx.trace(format!("bridge λ set_host({host}, {port})"));
-                    session.set_host = Some(SimAddr::new(host.as_str(), *port));
+                    let target = SimAddr::new(host.as_str(), *port);
+                    session.set_host = Some(target.clone());
+                    ctx.record(TraceEvent::SetHost { key, target });
                 }
                 ResolvedAction::Custom { name, .. } => {
-                    ctx.trace(format!("bridge λ {name}(..) (no engine interpretation)"));
+                    ctx.record(TraceEvent::CustomAction { key, name: name.clone() });
                 }
             }
         }
@@ -948,13 +947,14 @@ impl BridgeEngine {
     ) -> bool {
         match session.exec.deliver(message) {
             Ok(outcome) => {
-                self.apply_actions(ctx, session, &outcome);
+                self.apply_actions(ctx, key, session, &outcome);
                 self.pump_sends(ctx, key, session);
                 true
             }
             Err(err) => {
-                self.stats.record_error(err.to_string());
-                ctx.trace(format!("bridge dropped message: {err}"));
+                let error = err.to_string();
+                self.stats.record_error(error.clone());
+                ctx.record(TraceEvent::Rejected { key: key.clone(), error });
                 false
             }
         }
@@ -984,12 +984,12 @@ impl BridgeEngine {
             // equivalence did not hold for this exchange.
             let unfilled = message.unfilled_mandatory();
             if !unfilled.is_empty() {
+                let fields = format!("{unfilled:?}");
                 self.stats.record_error(format!(
-                    "⊨ violation: {name} has unfilled mandatory fields {unfilled:?}"
+                    "⊨ violation: {name} has unfilled mandatory fields {fields}"
                 ));
-                ctx.trace(format!(
-                    "bridge refused to send {name}: mandatory fields {unfilled:?} unfilled"
-                ));
+                let (key, unfilled) = (key.clone(), Some(fields));
+                ctx.record(TraceEvent::RefusedSend { key, message: name, unfilled });
                 session.failed = true;
                 return;
             }
@@ -997,7 +997,8 @@ impl BridgeEngine {
             if let Err(err) = codec.compose_into(&message, &mut payload) {
                 self.compose_buf = payload;
                 self.stats.record_error(format!("compose {name}: {err}"));
-                ctx.trace(format!("bridge failed to compose {name}: {err}"));
+                let (key, error) = (key.clone(), err.to_string());
+                ctx.record(TraceEvent::ComposeFailed { key, message: name, error });
                 session.failed = true;
                 return;
             }
@@ -1005,7 +1006,8 @@ impl BridgeEngine {
             self.compose_buf = payload;
             if let Err(err) = emitted {
                 self.stats.record_error(format!("emit {name}: {err}"));
-                ctx.trace(format!("bridge failed to emit {name}: {err}"));
+                let (key, error) = (key.clone(), err.to_string());
+                ctx.record(TraceEvent::EmitFailed { key, message: name, error });
                 session.failed = true;
                 return;
             }
@@ -1019,7 +1021,7 @@ impl BridgeEngine {
                 }
             }
             match session.exec.sent(message) {
-                Ok(outcome) => self.apply_actions(ctx, session, &outcome),
+                Ok(outcome) => self.apply_actions(ctx, key, session, &outcome),
                 Err(err) => {
                     self.stats.record_error(err.to_string());
                     session.failed = true;
@@ -1067,9 +1069,10 @@ impl BridgeEngine {
                         // transport-level concern, not a protocol one.
                         if session.parked.len() >= policy.queue_bound {
                             self.stats.record_queue_overflow();
-                            ctx.trace(format!(
-                                "bridge queue overflow: egress leg for {key} refused"
-                            ));
+                            ctx.record(TraceEvent::QueueOverflow {
+                                key: key.clone(),
+                                leg: Leg::Egress,
+                            });
                             return Ok(());
                         }
                         session.parked.push_back(ParkedLeg {
@@ -1082,10 +1085,11 @@ impl BridgeEngine {
                             session.retry_timer =
                                 Some(self.arm_retry(ctx, key, policy.retry_interval));
                         }
-                        ctx.trace(format!(
-                            "bridge parked egress leg for {key} ({} queued)",
-                            session.parked.len()
-                        ));
+                        ctx.record(TraceEvent::Parked {
+                            key: key.clone(),
+                            leg: Leg::Egress,
+                            queued: session.parked.len(),
+                        });
                         return Ok(());
                     }
                 }
@@ -1137,7 +1141,7 @@ impl BridgeEngine {
             let leg = session.parked.pop_front().expect("front checked");
             ctx.udp_send(leg.port, leg.destination, leg.payload);
             self.stats.record_leg_replayed();
-            ctx.trace(format!("bridge replayed parked leg for {key}"));
+            ctx.record(TraceEvent::Replayed { key: key.clone() });
         }
         if session.parked.is_empty() {
             session.retries = 0;
@@ -1146,7 +1150,7 @@ impl BridgeEngine {
         }
         session.retries += 1;
         if session.retries >= policy.max_retries {
-            ctx.trace(format!("bridge gave up on {} parked legs for {key}", session.parked.len()));
+            ctx.record(TraceEvent::GaveUp { key: key.clone(), legs: session.parked.len() });
             session.failed = true;
             self.conclude(ctx, key, session);
             return;
@@ -1156,7 +1160,9 @@ impl BridgeEngine {
     }
 
     /// Parses as many messages as the buffered stream for `conn` holds,
-    /// delivering each to the owning session.
+    /// delivering each to the owning session. A leg buffering more than
+    /// [`REASSEMBLY_CAP`] bytes with no complete message fails the
+    /// session (its buffer is freed when the session unlinks).
     fn drain_stream(
         &mut self,
         ctx: &mut Context<'_>,
@@ -1177,6 +1183,17 @@ impl BridgeEngine {
                 Ok((message, consumed)) => {
                     self.buffers.get_mut(&conn).expect("buffer exists").drain(..consumed);
                     self.deliver(ctx, key, session, message);
+                }
+                Err(_) if buffer.len() > REASSEMBLY_CAP => {
+                    let buffered = buffer.len();
+                    self.stats.record_error(format!(
+                        "reassembly on part #{part_index}: conn #{} buffered {buffered} bytes \
+                         without a complete message",
+                        conn.0
+                    ));
+                    ctx.record(TraceEvent::StreamOverflow { key: key.clone(), conn, buffered });
+                    session.failed = true;
+                    break;
                 }
                 Err(_) => {
                     // Incomplete message: wait for more stream data.
@@ -1432,7 +1449,7 @@ impl BridgeEngine {
 
     fn fused_datagram(&mut self, ctx: &mut Context<'_>, rt: &mut FusedRuntime, datagram: Datagram) {
         let Some(part_index) = self.part_for_datagram(&datagram) else {
-            ctx.trace(format!("bridge: no part for datagram to {}", datagram.to));
+            ctx.record(TraceEvent::NoPart { to: datagram.to });
             return;
         };
         let source_side = part_index == rt.plan.source_part();
@@ -1450,11 +1467,11 @@ impl BridgeEngine {
                 .iter()
                 .any(|t| t.replay_into(&datagram.payload, &mut rt.wire_buf, &mut rt.scratch))
             {
-                ctx.udp_send(rt.resp_spec.port, datagram.from, &rt.wire_buf[..]);
+                ctx.udp_send(rt.resp_spec.port, datagram.from.clone(), &rt.wire_buf[..]);
                 self.stats.record_cache_hit();
                 self.stats.record_session_started();
                 self.stats.record_session(now, now);
-                ctx.trace("bridge replayed cached reply for duplicate query".to_owned());
+                ctx.record(TraceEvent::CacheReplay { key: SessionKey::Peer(datagram.from) });
                 return;
             }
         }
@@ -1467,7 +1484,7 @@ impl BridgeEngine {
             Ok(message) => message,
             Err(err) => {
                 self.stats.record_error(format!("parse on part #{part_index}: {err}"));
-                ctx.trace(format!("bridge failed to parse datagram: {err}"));
+                ctx.record(TraceEvent::ParseFailed { error: err.to_string() });
                 return;
             }
         };
@@ -1484,7 +1501,7 @@ impl BridgeEngine {
             self.stats.record_error(format!(
                 "bridge dropped message: unexpected {name} on part #{part_index}"
             ));
-            ctx.trace(format!("bridge dropped unexpected {name}"));
+            ctx.record(TraceEvent::UnexpectedMessage { name: name.to_owned() });
             return;
         }
         if source_side {
@@ -1519,7 +1536,7 @@ impl BridgeEngine {
             self.stats.record_error(format!(
                 "bridge dropped message: duplicate request for live session {key}"
             ));
-            ctx.trace(format!("bridge dropped duplicate request for {key}"));
+            ctx.record(TraceEvent::DuplicateRequest { key });
             return;
         }
 
@@ -1557,7 +1574,7 @@ impl BridgeEngine {
                     // accounting stays balanced.
                     self.stats.record_session_started();
                     self.stats.record_session(now, now);
-                    ctx.trace("bridge served reply from the answer cache".to_owned());
+                    ctx.record(TraceEvent::CacheHit { key });
                     return;
                 }
                 // A cached answer that no longer replays is discarded,
@@ -1569,10 +1586,11 @@ impl BridgeEngine {
         }
 
         // Full translation: request → target query.
-        if let Err(err) = rt.plan.translate_request(&rt.parse_rec, &mut rt.out_rec, &mut rt.scratch)
+        if let Err(error) =
+            rt.plan.translate_request(&rt.parse_rec, &mut rt.out_rec, &mut rt.scratch)
         {
-            self.stats.record_error(format!("bridge dropped message: {err}"));
-            ctx.trace(format!("bridge dropped message: {err}"));
+            self.stats.record_error(format!("bridge dropped message: {error}"));
+            ctx.record(TraceEvent::Rejected { key, error });
             return;
         }
         // The session opens here, mirroring the interpreted engine
@@ -1584,14 +1602,16 @@ impl BridgeEngine {
                 rt.plan.req_out_name(),
                 field
             ));
-            ctx.trace(format!("bridge refused to send {}", rt.plan.req_out_name()));
+            let message = rt.plan.req_out_name().to_owned();
+            ctx.record(TraceEvent::RefusedSend { key, message, unfilled: None });
             self.stats.record_session_started();
             self.stats.record_session_failed();
             return;
         }
         if let Err(err) = rt.plan.target_plan().compose(&rt.out_rec, &mut rt.wire_buf) {
             self.stats.record_error(format!("compose {}: {err}", rt.plan.req_out_name()));
-            ctx.trace(format!("bridge failed to compose {}: {err}", rt.plan.req_out_name()));
+            let (message, error) = (rt.plan.req_out_name().to_owned(), err.to_string());
+            ctx.record(TraceEvent::ComposeFailed { key, message, error });
             self.stats.record_session_started();
             self.stats.record_session_failed();
             return;
@@ -1601,7 +1621,7 @@ impl BridgeEngine {
             if Self::egress_blocked(ctx, &policy, &rt.req_group) {
                 if policy.queue_bound == 0 {
                     self.stats.record_queue_overflow();
-                    ctx.trace("bridge queue overflow: forward query refused".to_owned());
+                    ctx.record(TraceEvent::QueueOverflow { key: key.clone(), leg: Leg::Query });
                 } else {
                     parked_query = Some(ParkedLeg {
                         port: rt.req_spec.port,
@@ -1659,7 +1679,7 @@ impl BridgeEngine {
             session.parked.push_back(leg);
             self.stats.record_leg_parked();
             session.retry_timer = Some(self.arm_retry(ctx, &key, policy.retry_interval));
-            ctx.trace(format!("bridge parked forward query for {key} (1 queued)"));
+            ctx.record(TraceEvent::Parked { key: key.clone(), leg: Leg::Query, queued: 1 });
         }
         let tag = self.next_timer_tag;
         self.next_timer_tag += 1;
@@ -1683,7 +1703,7 @@ impl BridgeEngine {
                     self.stats.record_error(format!(
                         "bridge dropped message: no session awaits response id {id:#x}"
                     ));
-                    ctx.trace("bridge dropped unmatched response".to_owned());
+                    ctx.record(TraceEvent::UnmatchedResponse);
                 }
                 return;
             }
@@ -1703,7 +1723,7 @@ impl BridgeEngine {
                 self.stats.record_error(
                     "bridge dropped message: no session awaits a response".to_owned(),
                 );
-                ctx.trace("bridge dropped unmatched response".to_owned());
+                ctx.record(TraceEvent::UnmatchedResponse);
             }
         }
     }
@@ -1727,7 +1747,7 @@ impl BridgeEngine {
             // waiting (and may still idle-expire), like a rejected
             // interpreted delivery.
             self.stats.record_error(format!("bridge dropped message: {err}"));
-            ctx.trace(format!("bridge dropped message: {err}"));
+            ctx.record(TraceEvent::Rejected { key: key.clone(), error: err });
             rt.sessions.insert(key, session);
             return;
         }
@@ -1738,14 +1758,16 @@ impl BridgeEngine {
                 rt.plan.resp_out_name(),
                 field
             ));
-            ctx.trace(format!("bridge refused to send {}", rt.plan.resp_out_name()));
+            let message = rt.plan.resp_out_name().to_owned();
+            ctx.record(TraceEvent::RefusedSend { key, message, unfilled: None });
             self.unlink_fused(ctx, &mut session);
             self.stats.record_session_failed();
             return;
         }
         if let Err(err) = rt.plan.source_plan().compose(&rt.out_rec, &mut rt.wire_buf) {
             self.stats.record_error(format!("compose {}: {err}", rt.plan.resp_out_name()));
-            ctx.trace(format!("bridge failed to compose {}: {err}", rt.plan.resp_out_name()));
+            let (message, error) = (rt.plan.resp_out_name().to_owned(), err.to_string());
+            ctx.record(TraceEvent::ComposeFailed { key, message, error });
             self.unlink_fused(ctx, &mut session);
             self.stats.record_session_failed();
             return;
@@ -1759,7 +1781,7 @@ impl BridgeEngine {
                     self.stats.record_queue_overflow();
                     self.unlink_fused(ctx, &mut session);
                     self.stats.record_session_failed();
-                    ctx.trace(format!("bridge queue overflow: reply leg for {key} refused"));
+                    ctx.record(TraceEvent::QueueOverflow { key, leg: Leg::Reply });
                     return;
                 }
                 session.parked.push_back(ParkedLeg {
@@ -1817,13 +1839,15 @@ impl BridgeEngine {
             if session.retry_timer.is_none() {
                 session.retry_timer = Some(self.arm_retry(ctx, &key, policy.retry_interval));
             }
-            ctx.trace(format!("bridge parked reply for {key} until the link heals"));
+            let queued = session.parked.len();
+            ctx.record(TraceEvent::Parked { key: key.clone(), leg: Leg::Reply, queued });
             rt.sessions.insert(key, session);
             return;
         }
         self.unlink_fused(ctx, &mut session);
         self.stats.record_session(session.started, ctx.now());
-        ctx.trace(format!("bridge session complete in {}", ctx.now().since(session.started)));
+        let elapsed = ctx.now().since(session.started);
+        ctx.record(TraceEvent::SessionComplete { key, elapsed });
     }
 
     /// [`BridgeEngine::unlink`] for fused sessions: expiry and replay
@@ -1859,10 +1883,8 @@ impl BridgeEngine {
         if ctx.now() >= deadline {
             self.unlink_fused(ctx, &mut session);
             self.stats.record_session_expired();
-            ctx.trace(format!(
-                "bridge session {key} expired after {} idle",
-                ctx.now().since(session.last_activity)
-            ));
+            let idle = ctx.now().since(session.last_activity);
+            ctx.record(TraceEvent::SessionExpired { key, idle });
         } else {
             let remaining = deadline.since(ctx.now());
             let new_tag = self.next_timer_tag;
@@ -1896,17 +1918,15 @@ impl BridgeEngine {
             let leg = session.parked.pop_front().expect("front checked");
             ctx.udp_send(leg.port, leg.destination, leg.payload);
             self.stats.record_leg_replayed();
-            ctx.trace(format!("bridge replayed parked leg for {key}"));
+            ctx.record(TraceEvent::Replayed { key: key.clone() });
         }
         if session.parked.is_empty() {
             session.retries = 0;
             if session.complete_on_flush {
                 self.unlink_fused(ctx, &mut session);
                 self.stats.record_session(session.started, ctx.now());
-                ctx.trace(format!(
-                    "bridge session complete in {}",
-                    ctx.now().since(session.started)
-                ));
+                let elapsed = ctx.now().since(session.started);
+                ctx.record(TraceEvent::SessionComplete { key, elapsed });
             } else {
                 rt.sessions.insert(key, session);
             }
@@ -1914,7 +1934,7 @@ impl BridgeEngine {
         }
         session.retries += 1;
         if session.retries >= policy.max_retries {
-            ctx.trace(format!("bridge gave up on {} parked legs for {key}", session.parked.len()));
+            ctx.record(TraceEvent::GaveUp { key: key.clone(), legs: session.parked.len() });
             self.unlink_fused(ctx, &mut session);
             self.stats.record_session_failed();
             return;
@@ -2037,7 +2057,7 @@ impl Actor for BridgeEngine {
                     Transport::Udp => {
                         if bound.insert(color.port()) {
                             if let Err(err) = ctx.bind_udp(color.port()) {
-                                ctx.trace(format!("bridge bind failed: {err}"));
+                                ctx.record(TraceEvent::BridgeBindFailed { error: err.to_string() });
                             }
                         }
                         if let Some(group) = color.group() {
@@ -2050,7 +2070,7 @@ impl Actor for BridgeEngine {
                 }
             }
         }
-        ctx.trace(format!("bridge {} deployed", self.automaton.name()));
+        ctx.record(TraceEvent::BridgeDeployed { name: self.automaton.name().to_owned() });
     }
 
     fn on_datagram(&mut self, ctx: &mut Context<'_>, datagram: Datagram) {
@@ -2060,7 +2080,7 @@ impl Actor for BridgeEngine {
             return;
         }
         let Some(part_index) = self.part_for_datagram(&datagram) else {
-            ctx.trace(format!("bridge: no part for datagram to {}", datagram.to));
+            ctx.record(TraceEvent::NoPart { to: datagram.to });
             return;
         };
         let parsed = self.codecs[part_index].parse(&datagram.payload);
@@ -2068,7 +2088,7 @@ impl Actor for BridgeEngine {
             Ok(message) => message,
             Err(err) => {
                 self.stats.record_error(format!("parse on part #{part_index}: {err}"));
-                ctx.trace(format!("bridge failed to parse datagram: {err}"));
+                ctx.record(TraceEvent::ParseFailed { error: err.to_string() });
                 return;
             }
         };
@@ -2099,7 +2119,7 @@ impl Actor for BridgeEngine {
         match event {
             TcpEvent::Accepted { conn, peer, local_port } => {
                 let Some(part_index) = self.part_for_listener(local_port) else {
-                    ctx.trace(format!("bridge: no part listens on port {local_port}"));
+                    ctx.record(TraceEvent::NoListener { port: local_port });
                     return;
                 };
                 // Correlate the connection with the session that told
@@ -2126,7 +2146,8 @@ impl Actor for BridgeEngine {
                     })
                     .min_by_key(|(_, s)| s.seq)
                     .map(|(key, _)| key.clone());
-                ctx.trace(format!("bridge accepted {peer} on part #{part_index}"));
+                let key = matched.clone().unwrap_or(SessionKey::Conn(conn));
+                ctx.record(TraceEvent::Accepted { key, peer, part: part_index });
                 match matched {
                     Some(key) => {
                         let mut session = self.sessions.remove(&key).expect("matched live session");
@@ -2210,10 +2231,8 @@ impl Actor for BridgeEngine {
         if ctx.now() >= deadline {
             self.unlink(ctx, &mut session);
             self.stats.record_session_expired();
-            ctx.trace(format!(
-                "bridge session {key} expired after {} idle",
-                ctx.now().since(session.last_activity)
-            ));
+            let idle = ctx.now().since(session.last_activity);
+            ctx.record(TraceEvent::SessionExpired { key, idle });
         } else {
             // Activity since the timer was armed: re-arm for the
             // remaining idle window.

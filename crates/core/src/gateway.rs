@@ -436,8 +436,8 @@ impl ShardedGateway {
         hub.set_unrouted(self.bridge.unrouted_handle());
         for (shard, handle) in self.handles.iter().enumerate() {
             let hub = hub.clone();
-            let source = format!("shard{shard}");
-            handle.set_trace_sink(move |entry| hub.record_trace(&source, entry));
+            let source: Arc<str> = Arc::from(format!("shard{shard}"));
+            handle.set_trace_sink(move |lost, fresh| hub.record_stream(&source, lost, fresh));
         }
         MetricsServer::serve(hub.render_fn()).map_err(crate::CoreError::Net)
     }

@@ -22,7 +22,7 @@
 //! serialized against traffic exactly like any other input, per shard.
 
 use crate::engine::BridgeEngine;
-use starlink_net::{Actor, Context, Datagram, TcpEvent};
+use starlink_net::{Actor, Context, Datagram, TcpEvent, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -105,11 +105,11 @@ impl EngineHost {
         engine.set_timer_tag_base(version << TAG_SHIFT);
         let mut hosted = HostedVersion { version, engine, draining: false };
         hosted.engine.on_start(ctx);
-        ctx.trace(format!(
-            "control: deployed {} v{version} ({} coexisting)",
-            hosted.engine.automaton_name(),
-            self.versions.len() + 1
-        ));
+        ctx.record(TraceEvent::ControlDeployed {
+            name: hosted.engine.automaton_name().to_owned(),
+            version,
+            coexisting: self.versions.len() + 1,
+        });
         self.versions.push(hosted);
     }
 
@@ -121,12 +121,11 @@ impl EngineHost {
         }
         hosted.draining = true;
         hosted.engine.stats().record_draining();
-        ctx.trace(format!(
-            "control: draining {} v{} ({} sessions in flight)",
-            hosted.engine.automaton_name(),
-            hosted.version,
-            hosted.engine.live_sessions()
-        ));
+        ctx.record(TraceEvent::ControlDraining {
+            name: hosted.engine.automaton_name().to_owned(),
+            version: hosted.version,
+            in_flight: hosted.engine.live_sessions(),
+        });
     }
 
     /// Reaps every draining version that has drained to zero live
@@ -139,11 +138,10 @@ impl EngineHost {
             if hosted.draining && hosted.engine.live_sessions() == 0 {
                 let hosted = self.versions.remove(index);
                 hosted.engine.stats().record_retired();
-                ctx.trace(format!(
-                    "control: reaped {} v{} (drained)",
-                    hosted.engine.automaton_name(),
-                    hosted.version
-                ));
+                ctx.record(TraceEvent::ControlReaped {
+                    name: hosted.engine.automaton_name().to_owned(),
+                    version: hosted.version,
+                });
             } else {
                 index += 1;
             }
@@ -151,9 +149,9 @@ impl EngineHost {
     }
 
     /// Counts fresh traffic arriving with no active version to take it.
-    fn record_unrouted(&self, ctx: &mut Context<'_>, what: &str) {
+    fn record_unrouted(&self, ctx: &mut Context<'_>, what: &'static str) {
         self.unrouted.fetch_add(1, Ordering::Relaxed);
-        ctx.trace(format!("control: dropped unrouted {what} (no active version)"));
+        ctx.record(TraceEvent::ControlUnrouted { what });
     }
 }
 
@@ -225,7 +223,7 @@ impl Actor for EngineHost {
         let command = match payload.downcast::<BridgeCommand>() {
             Ok(command) => *command,
             Err(_) => {
-                ctx.trace("control: dropped payload of unknown type".to_owned());
+                ctx.record(TraceEvent::ControlUnknownPayload);
                 return;
             }
         };
@@ -243,7 +241,7 @@ impl Actor for EngineHost {
                 match self.versions.iter_mut().find(|v| v.version == version) {
                     Some(hosted) => Self::drain(ctx, hosted),
                     None => {
-                        ctx.trace(format!("control: undeploy of unknown version {version}"));
+                        ctx.record(TraceEvent::ControlUnknownVersion { version });
                     }
                 }
             }

@@ -53,6 +53,7 @@ mod synthesis;
 pub use check::{check_correlator, check_deployment, check_model_source, XML_LINT_CODE};
 pub use engine::{
     BridgeEngine, EngineConfig, FieldCorrelator, SessionCorrelator, SessionKey, StoreForward,
+    REASSEMBLY_CAP,
 };
 pub use error::{CoreError, ModelReport, Result};
 pub use framework::Starlink;
@@ -67,6 +68,6 @@ pub use registry::{
 pub use shard::{ControlSlot, ShardHandle, ShardInput, ShardOutput, ShardedBridge};
 pub use stats::{
     AtomicConcurrency, BridgeStats, CacheStats, ConcurrencyStats, SessionRecord, ShardedStats,
-    StoreForwardStats,
+    StoreForwardStats, ERROR_WINDOW, SESSION_WINDOW,
 };
 pub use synthesis::{analyze_ontology, synthesize_bridge, Ontology};

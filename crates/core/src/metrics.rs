@@ -1,7 +1,7 @@
 //! Observability export: one [`MetricsHub`] aggregates every versioned
 //! deployment's counters into a deterministic Prometheus-style text
-//! page, and classifies simulator trace entries into a bounded
-//! JSON-lines event log.
+//! page, and keeps a bounded log of typed simulator trace events that
+//! it renders as JSON lines on request.
 //!
 //! The hub is the read side of the control plane. Deployment handles
 //! ([`DeployedBridge`]) share their stats with the hub, so the page
@@ -17,17 +17,11 @@
 
 use crate::gateway::GatewayStats;
 use crate::registry::DeployedBridge;
-use starlink_net::{RenderFn, TraceEntry};
+use starlink_net::{RenderFn, TraceEntry, TraceKind, TRACE_CAP};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Bound on the retained JSON-lines trace log; older events fall off.
-const TRACE_CAP: usize = 4096;
-
-/// How a trace event was classified for export.
-const TRACE_KINDS: [&str; 5] = ["control", "impairment", "session", "wire", "event"];
 
 type GatewayReader = Box<dyn Fn() -> GatewayStats + Send + Sync>;
 
@@ -40,13 +34,15 @@ struct HubInner {
     gateway: Option<GatewayReader>,
     /// The fleet-wide unrouted-traffic counter, shared with the shards.
     unrouted: Option<Arc<AtomicU64>>,
-    /// Bounded JSON-lines event log.
-    trace: VecDeque<String>,
-    /// Events dropped off the front of the bounded log.
+    /// Bounded event log: (source, entry), oldest first, rendered to
+    /// JSON lines only when `/trace` is read.
+    trace: VecDeque<(Arc<str>, TraceEntry)>,
+    /// Events lost: dropped off the front of the bounded log, or
+    /// overwritten in a shard's ring before they could be streamed.
     trace_dropped: u64,
-    /// Per-kind event counts (index into [`TRACE_KINDS`]); count every
+    /// Per-kind event counts (in [`TraceKind::ALL`] order); count every
     /// event ever seen, not just the retained window.
-    trace_counts: [u64; 5],
+    trace_counts: [u64; TraceKind::ALL.len()],
 }
 
 /// The aggregation point for the metrics/trace export surface: see the
@@ -98,31 +94,56 @@ impl MetricsHub {
         self.lock().unrouted = Some(counter);
     }
 
-    /// Classifies and appends one simulator trace entry to the bounded
-    /// JSON-lines log. `source` names the emitting shard/host.
+    /// Appends one simulator trace entry to the bounded log, counted
+    /// under the kind its variant names. `source` names the emitting
+    /// shard/host.
     pub fn record_trace(&self, source: &str, entry: &TraceEntry) {
-        let kind = classify(&entry.description);
-        let line = format!(
-            r#"{{"at_us":{},"source":"{}","kind":"{}","event":"{}"}}"#,
-            entry.at.as_micros(),
-            escape_json(source),
-            kind,
-            escape_json(&entry.description)
-        );
-        let mut inner = self.lock();
-        if let Some(index) = TRACE_KINDS.iter().position(|k| *k == kind) {
-            inner.trace_counts[index] += 1;
-        }
-        if inner.trace.len() == TRACE_CAP {
-            inner.trace.pop_front();
-            inner.trace_dropped += 1;
-        }
-        inner.trace.push_back(line);
+        self.record_stream(&Arc::from(source), 0, std::iter::once(entry));
     }
 
-    /// The retained JSON-lines event log, oldest first.
+    /// Appends a shard's fresh entries in one lock, after `lost` events
+    /// its ring overwrote before they could be streamed.
+    pub(crate) fn record_stream<'a>(
+        &self,
+        source: &Arc<str>,
+        lost: u64,
+        entries: impl IntoIterator<Item = &'a TraceEntry>,
+    ) {
+        let mut inner = self.lock();
+        inner.trace_dropped += lost;
+        for entry in entries {
+            inner.trace_counts[entry.event.kind() as usize] += 1;
+            if inner.trace.len() == TRACE_CAP {
+                inner.trace.pop_front();
+                inner.trace_dropped += 1;
+            }
+            inner.trace.push_back((source.clone(), entry.clone()));
+        }
+    }
+
+    /// The retained event log as JSON lines, oldest first: `at_us`,
+    /// `source`, `kind`, `event` (the rendered text) and, for events of
+    /// a bridge session, `session`.
     pub fn trace_lines(&self) -> Vec<String> {
-        self.lock().trace.iter().cloned().collect()
+        let inner = self.lock();
+        inner
+            .trace
+            .iter()
+            .map(|(source, entry)| {
+                let mut line = format!(
+                    r#"{{"at_us":{},"source":"{}","kind":"{}","event":"{}""#,
+                    entry.at.as_micros(),
+                    escape_json(source),
+                    entry.event.kind().name(),
+                    escape_json(&entry.event.to_string())
+                );
+                if let Some(key) = entry.event.session() {
+                    let _ = write!(line, r#","session":"{}""#, escape_json(&key.to_string()));
+                }
+                line.push('}');
+                line
+            })
+            .collect()
     }
 
     /// Renders the Prometheus-style counter page. Deterministic: same
@@ -179,7 +200,7 @@ impl MetricsHub {
             "Sessions per deployment by outcome; started == completed + failed + expired + active.",
         );
         for d in &deployments {
-            let c = d.stats().merged().concurrency();
+            let c = d.stats().concurrency_sum();
             for (outcome, value) in [
                 ("started", c.started),
                 ("completed", c.completed),
@@ -200,7 +221,7 @@ impl MetricsHub {
             "Sessions live right now, per deployment.",
         );
         for d in &deployments {
-            let c = d.stats().merged().concurrency();
+            let c = d.stats().concurrency_sum();
             let _ = writeln!(out, "starlink_sessions_active{{{}}} {}", labels(d), c.active);
             let _ =
                 writeln!(out, "starlink_sessions_peak_active{{{}}} {}", labels(d), c.peak_active);
@@ -212,11 +233,10 @@ impl MetricsHub {
             "Sum and count of end-to-end translation times, per deployment.",
         );
         for d in &deployments {
-            let times = d.stats().translation_times();
-            let sum: u64 = times.iter().map(|t| t.as_micros()).sum();
+            let stats = d.stats();
+            let (sum, count) = (stats.translation_micros(), stats.session_count());
             let _ = writeln!(out, "starlink_translation_micros_sum{{{}}} {sum}", labels(d));
-            let _ =
-                writeln!(out, "starlink_translation_micros_count{{{}}} {}", labels(d), times.len());
+            let _ = writeln!(out, "starlink_translation_micros_count{{{}}} {count}", labels(d));
         }
         family(
             out,
@@ -271,7 +291,7 @@ impl MetricsHub {
                 out,
                 "starlink_engine_errors_total{{{}}} {}",
                 labels(d),
-                d.stats().errors().len()
+                d.stats().error_count()
             );
         }
         if let Some(counter) = &inner.unrouted {
@@ -322,7 +342,8 @@ impl MetricsHub {
             "counter",
             "Classified simulator trace events seen by the hub.",
         );
-        for (kind, count) in TRACE_KINDS.iter().zip(inner.trace_counts) {
+        for (kind, count) in TraceKind::ALL.iter().zip(inner.trace_counts) {
+            let kind = kind.name();
             let _ = writeln!(out, "starlink_trace_events_total{{kind=\"{kind}\"}} {count}");
         }
         let _ = writeln!(out, "starlink_trace_events_dropped {}", inner.trace_dropped);
@@ -359,23 +380,6 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 /// The shared `case`/`version` label pair of one deployment.
 fn labels(deployment: &DeployedBridge) -> String {
     format!(r#"case="{}",version="{}""#, escape_json(deployment.case()), deployment.version())
-}
-
-/// Classifies a trace description for export. The vocabulary is the
-/// simulator's own: chaos/pass-schedule impairments, control-plane
-/// messages, engine session events, raw wire traffic.
-fn classify(description: &str) -> &'static str {
-    if description.starts_with("control") {
-        "control"
-    } else if description.starts_with("chaos") || description.starts_with("pass ") {
-        "impairment"
-    } else if description.starts_with("bridge ") || description.contains("session") {
-        "session"
-    } else if description.starts_with("udp") || description.starts_with("tcp") {
-        "wire"
-    } else {
-        "event"
-    }
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes).
@@ -424,27 +428,41 @@ mod tests {
 
     #[test]
     fn trace_log_classifies_escapes_and_bounds() {
+        use starlink_net::{LinkEnd, LinkFate, SessionKey, SimAddr, TraceEvent};
         let hub = MetricsHub::new();
-        let entry = |description: &str| TraceEntry {
-            at: SimTime::from_micros(7),
-            description: description.to_owned(),
-        };
-        hub.record_trace("shard0", &entry("chaos drop a -> b"));
-        hub.record_trace("shard0", &entry("control: deployed x v2 (2 coexisting)"));
-        hub.record_trace("shard1", &entry("udp a -> b (12 bytes)"));
-        hub.record_trace("shard1", &entry("said \"hi\"\n"));
+        let entry = |event: TraceEvent| TraceEntry { at: SimTime::from_micros(7), event };
+        let (a, b) = (SimAddr::new("a", 1), SimAddr::new("b", 2));
+        let to = LinkEnd { to: b.clone(), member: None };
+        hub.record_trace(
+            "shard0",
+            &entry(TraceEvent::Link { fate: LinkFate::Drop, from: a.clone(), to }),
+        );
+        hub.record_trace(
+            "shard0",
+            &entry(TraceEvent::ControlDeployed { name: "x".into(), version: 2, coexisting: 2 }),
+        );
+        hub.record_trace("shard1", &entry(TraceEvent::Udp { from: a, to: b, bytes: 12 }));
+        hub.record_trace("shard1", &entry(TraceEvent::Note("said \"hi\"\n".into())));
+        let key = SessionKey::Correlated(0, 0x2a);
+        hub.record_trace("shard1", &entry(TraceEvent::SessionFailed { key }));
         let lines = hub.trace_lines();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains(r#""kind":"impairment""#));
+        assert_eq!(lines.len(), 5);
+        assert!(lines[0].contains(r#""kind":"impairment","event":"chaos drop a:1 -> b:2""#));
         assert!(lines[1].contains(r#""kind":"control""#));
         assert!(lines[2].contains(r#""kind":"wire""#));
-        assert!(lines[3].contains(r#"said \"hi\"\n"#));
+        assert!(lines[3].contains(r#""kind":"event","event":"said \"hi\"\n""#));
+        assert!(lines[4].ends_with(r#""kind":"session","event":"bridge session part#0 id 0x2a failed and was torn down","session":"part#0 id 0x2a"}"#), "{}", lines[4]);
         for _ in 0..TRACE_CAP {
-            hub.record_trace("s", &entry("filler"));
+            hub.record_trace("s", &entry(TraceEvent::Note("filler".into())));
         }
         assert_eq!(hub.trace_lines().len(), TRACE_CAP);
         let page = hub.render();
-        assert!(page.contains("starlink_trace_events_dropped 4\n"), "{page}");
+        assert!(page.contains("starlink_trace_events_dropped 5\n"), "{page}");
         assert!(page.contains("starlink_trace_events_total{kind=\"impairment\"} 1\n"));
+
+        // Events a shard's ring overwrote before streaming count as
+        // dropped too.
+        hub.record_stream(&Arc::from("s"), 3, std::iter::empty());
+        assert!(hub.render().contains("starlink_trace_events_dropped 8\n"));
     }
 }

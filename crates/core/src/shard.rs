@@ -42,7 +42,7 @@
 use crate::engine::BridgeEngine;
 use crate::host::{BridgeCommand, EngineHost};
 use fxhash::FxHashMap;
-use starlink_net::{Bytes, Datagram, ExternalTcpEvent, SimAddr, SimNet, SimTime, TraceEntry};
+use starlink_net::{Bytes, Datagram, ExternalTcpEvent, SimAddr, SimNet, SimTime, TraceIter};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -188,9 +188,10 @@ type EgressNotifier = Box<dyn Fn() + Send>;
 
 /// A callback a shard worker streams fresh simulation trace entries
 /// into after each batch — the structured trace-export hook
-/// ([`ShardHandle::set_trace_sink`]). Receives every entry exactly once,
-/// in order.
-type TraceSink = Box<dyn Fn(&TraceEntry) + Send>;
+/// ([`ShardHandle::set_trace_sink`]). Receives every retained entry
+/// exactly once, in order, plus how many newer-than-streamed events the
+/// shard's ring overwrote before the batch ended.
+type TraceSink = Box<dyn Fn(u64, TraceIter<'_>) + Send>;
 
 struct Shard {
     channel: Arc<Channel>,
@@ -271,11 +272,12 @@ impl ShardHandle {
         *slot = None;
     }
 
-    /// Installs `sink`, fed every fresh simulation trace entry of this
-    /// shard after each batch (exactly once, in order) — the export
-    /// hook structured trace streaming builds on. Entries recorded
-    /// before installation are not replayed.
-    pub fn set_trace_sink(&self, sink: impl Fn(&TraceEntry) + Send + 'static) {
+    /// Installs `sink`, fed after each batch with the count of events
+    /// this shard's trace ring overwrote before they could be streamed
+    /// and the fresh entries it still holds (each exactly once, in
+    /// order) — the export hook structured trace streaming builds on.
+    /// Entries recorded before installation are not replayed.
+    pub fn set_trace_sink(&self, sink: impl Fn(u64, TraceIter<'_>) + Send + 'static) {
         let mut slot = self.trace_sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         *slot = Some(Box::new(sink));
     }
@@ -576,8 +578,8 @@ fn shard_worker(
     let mut token_of: FxHashMap<starlink_net::ConnId, u64> = FxHashMap::default();
     let mut egress: Vec<Datagram> = Vec::new();
     let mut staged: Vec<ShardOutput> = Vec::new();
-    // Trace entries already streamed to the sink.
-    let mut streamed = sim.trace().len();
+    // Sequence number of the next trace event to stream to the sink.
+    let mut streamed = sim.trace().recorded();
     loop {
         let batch = {
             let mut state = channel.lock();
@@ -659,18 +661,18 @@ fn shard_worker(
         }
 
         // Stream fresh trace entries to the export sink, exactly once
-        // each. The cursor advances even with no sink installed, so a
-        // late-installed sink starts from "now" instead of replaying
-        // history.
+        // each, by sequence number: events the ring overwrote within
+        // this batch reach the sink as a lost count. The cursor advances
+        // even with no sink installed, so a late-installed sink starts
+        // from "now" instead of replaying history.
         let trace = sim.trace();
-        if streamed < trace.len() {
+        if streamed < trace.recorded() {
             let slot = trace_sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(sink) = slot.as_ref() {
-                for entry in &trace[streamed..] {
-                    sink(entry);
-                }
+                let (lost, fresh) = trace.since(streamed);
+                sink(lost, fresh);
             }
-            streamed = trace.len();
+            streamed = trace.recorded();
         }
 
         let mut state = channel.lock();

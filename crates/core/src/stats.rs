@@ -13,10 +13,22 @@
 //!
 //! [`BridgeStats::merge_from`] / [`ConcurrencyStats::merge`] fold
 //! per-shard snapshots into one report after the fact.
+//!
+//! Nothing here grows with the traffic served: completed sessions and
+//! engine errors are exact counts (plus the sessions' summed
+//! translation time) over a constant-size window of the most recent
+//! records.
 
 use starlink_net::{SimDuration, SimTime};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Completed-session records a stats handle retains (the most recent).
+pub const SESSION_WINDOW: usize = 1024;
+
+/// Engine error messages a stats handle retains (the most recent).
+pub const ERROR_WINDOW: usize = 64;
 
 /// One completed bridge session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,11 +241,47 @@ impl AtomicConcurrency {
     }
 }
 
+/// An exact count of everything recorded plus the most recent `N`
+/// items.
+#[derive(Debug, Clone)]
+struct RecentLog<T, const N: usize> {
+    total: u64,
+    recent: VecDeque<T>,
+}
+
+impl<T, const N: usize> Default for RecentLog<T, N> {
+    fn default() -> Self {
+        RecentLog { total: 0, recent: VecDeque::new() }
+    }
+}
+
+impl<T: Clone, const N: usize> RecentLog<T, N> {
+    fn push(&mut self, item: T) {
+        if self.recent.len() == N {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(item);
+        self.total += 1;
+    }
+
+    /// Appends `other`'s count and its retained items (as if they had
+    /// been recorded after this log's).
+    fn merge(&mut self, other: &Self) {
+        for item in &other.recent {
+            self.push(item.clone());
+        }
+        self.total += other.total - other.recent.len() as u64;
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    sessions: Vec<SessionRecord>,
+    /// Completed sessions.
+    sessions: RecentLog<SessionRecord, SESSION_WINDOW>,
+    /// Summed translation time of every completed session, µs.
+    translation_micros: u64,
     /// Messages that failed to parse/translate (dropped by the engine).
-    errors: Vec<String>,
+    errors: RecentLog<String, ERROR_WINDOW>,
     /// Session-lifecycle counters.
     concurrency: ConcurrencyStats,
     /// Answer-cache counters (fused bridges only).
@@ -281,7 +329,9 @@ impl BridgeStats {
     /// Records a completed session.
     pub fn record_session(&self, started: SimTime, finished: SimTime) {
         let mut inner = self.lock();
-        inner.sessions.push(SessionRecord { started, finished });
+        let record = SessionRecord { started, finished };
+        inner.translation_micros += record.translation_time().as_micros();
+        inner.sessions.push(record);
         inner.concurrency.completed += 1;
         inner.concurrency.active = inner.concurrency.active.saturating_sub(1);
         drop(inner);
@@ -387,6 +437,12 @@ impl BridgeStats {
         self.lock().errors.push(description.into());
     }
 
+    /// Engine-level errors recorded so far (exact; [`BridgeStats::errors`]
+    /// keeps only the most recent [`ERROR_WINDOW`] messages).
+    pub fn error_count(&self) -> u64 {
+        self.lock().errors.total
+    }
+
     /// Marks the owning engine version as draining: it stopped taking
     /// fresh sessions and only finishes (or idle-expires) in-flight
     /// ones. Deployment state, not part of the lifecycle ledger.
@@ -414,29 +470,38 @@ impl BridgeStats {
         self.lock().retired
     }
 
-    /// Completed sessions so far.
+    /// The most recent completed sessions (at most [`SESSION_WINDOW`]),
+    /// oldest first.
     pub fn sessions(&self) -> Vec<SessionRecord> {
-        self.lock().sessions.clone()
+        self.lock().sessions.recent.iter().copied().collect()
     }
 
-    /// Errors recorded so far.
+    /// The most recent error messages (at most [`ERROR_WINDOW`]),
+    /// oldest first.
     pub fn errors(&self) -> Vec<String> {
-        self.lock().errors.clone()
+        self.lock().errors.recent.iter().cloned().collect()
     }
 
-    /// Number of completed sessions.
+    /// Number of completed sessions (exact).
     pub fn session_count(&self) -> usize {
-        self.lock().sessions.len()
+        self.lock().sessions.total as usize
     }
 
-    /// Translation times of all completed sessions.
+    /// Summed translation time of every completed session, in µs.
+    pub fn translation_micros(&self) -> u64 {
+        self.lock().translation_micros
+    }
+
+    /// Translation times of the most recent completed sessions (at
+    /// most [`SESSION_WINDOW`]), oldest first.
     pub fn translation_times(&self) -> Vec<SimDuration> {
-        self.lock().sessions.iter().map(SessionRecord::translation_time).collect()
+        self.lock().sessions.recent.iter().map(SessionRecord::translation_time).collect()
     }
 
     /// Asserts internal consistency of this handle: the lifecycle
-    /// counters are balanced ([`ConcurrencyStats::assert_balanced`]) and
-    /// the completed-session log agrees with the `completed` counter.
+    /// counters are balanced ([`ConcurrencyStats::assert_balanced`]),
+    /// the completed-session log agrees with the `completed` counter and
+    /// both logs stay within their windows.
     ///
     /// # Panics
     ///
@@ -449,6 +514,14 @@ impl BridgeStats {
             concurrency.completed,
             "{context}: completed-session records disagree with the completed counter"
         );
+        {
+            let inner = self.lock();
+            assert!(
+                inner.sessions.recent.len() <= SESSION_WINDOW
+                    && inner.errors.recent.len() <= ERROR_WINDOW,
+                "{context}: a stats log outgrew its window"
+            );
+        }
         // Answer-cache invariants: every hit completed a session, every
         // insertion came from a completed exchange, and only inserted
         // entries can expire.
@@ -493,15 +566,16 @@ impl BridgeStats {
         }
     }
 
-    /// Folds a snapshot of `other` into this handle: session records and
-    /// errors are appended, lifecycle counters merged per
-    /// [`ConcurrencyStats::merge`]. Used to aggregate per-shard stats
-    /// into one fleet-wide report.
+    /// Folds a snapshot of `other` into this handle: session and error
+    /// logs are appended (counts exactly, records within the windows),
+    /// lifecycle counters merged per [`ConcurrencyStats::merge`]. Used
+    /// to aggregate per-shard stats into one fleet-wide report.
     pub fn merge_from(&self, other: &BridgeStats) {
-        let (sessions, errors, concurrency, cache, store_forward) = {
+        let (sessions, translation_micros, errors, concurrency, cache, store_forward) = {
             let other = other.lock();
             (
                 other.sessions.clone(),
+                other.translation_micros,
                 other.errors.clone(),
                 other.concurrency,
                 other.cache,
@@ -509,8 +583,9 @@ impl BridgeStats {
             )
         };
         let mut inner = self.lock();
-        inner.sessions.extend(sessions);
-        inner.errors.extend(errors);
+        inner.sessions.merge(&sessions);
+        inner.translation_micros += translation_micros;
+        inner.errors.merge(&errors);
         inner.concurrency.merge(&concurrency);
         inner.cache.merge(&cache);
         inner.store_forward.merge(&store_forward);
@@ -560,14 +635,35 @@ impl ShardedStats {
         merged
     }
 
+    /// The per-shard lifecycle counters summed (peaks add up, as in
+    /// [`ConcurrencyStats::merge`]) without copying any log.
+    pub fn concurrency_sum(&self) -> ConcurrencyStats {
+        let mut total = ConcurrencyStats::default();
+        for shard in &self.shards {
+            total.merge(&shard.concurrency());
+        }
+        total
+    }
+
     /// Completed sessions across all shards.
     pub fn session_count(&self) -> usize {
         self.shards.iter().map(BridgeStats::session_count).sum()
     }
 
-    /// Errors recorded by any shard.
+    /// Summed translation time of every completed session across all
+    /// shards, in µs.
+    pub fn translation_micros(&self) -> u64 {
+        self.shards.iter().map(BridgeStats::translation_micros).sum()
+    }
+
+    /// The most recent errors of every shard, shard by shard.
     pub fn errors(&self) -> Vec<String> {
         self.shards.iter().flat_map(BridgeStats::errors).collect()
+    }
+
+    /// Errors recorded by any shard (exact).
+    pub fn error_count(&self) -> u64 {
+        self.shards.iter().map(BridgeStats::error_count).sum()
     }
 
     /// Answer-cache counters summed across all shards (each shard's
@@ -599,7 +695,8 @@ impl ShardedStats {
         total
     }
 
-    /// Translation times of all completed sessions across all shards.
+    /// Translation times of every shard's most recent completed
+    /// sessions.
     pub fn translation_times(&self) -> Vec<SimDuration> {
         self.shards.iter().flat_map(BridgeStats::translation_times).collect()
     }
@@ -615,7 +712,7 @@ impl ShardedStats {
         for (index, shard) in self.shards.iter().enumerate() {
             shard.assert_consistent(&format!("{context} shard {index}"));
         }
-        self.merged().concurrency().assert_balanced(&format!("{context} merged"));
+        self.concurrency_sum().assert_balanced(&format!("{context} merged"));
         self.concurrency().assert_balanced(&format!("{context} gauge"));
     }
 }
@@ -633,6 +730,37 @@ mod tests {
         let times = stats.translation_times();
         assert_eq!(times[0], SimDuration::from_millis(340));
         assert_eq!(times[1], SimDuration::from_millis(300));
+    }
+
+    #[test]
+    fn logs_keep_exact_counts_over_bounded_windows() {
+        let stats = BridgeStats::new();
+        let extra = 10u64;
+        for i in 0..SESSION_WINDOW as u64 + extra {
+            stats.record_session(SimTime::ZERO, SimTime::from_micros(i));
+        }
+        for i in 0..ERROR_WINDOW as u64 + extra {
+            stats.record_error(format!("error {i}"));
+        }
+        assert_eq!(stats.session_count(), SESSION_WINDOW + extra as usize);
+        let n = SESSION_WINDOW as u64 + extra;
+        assert_eq!(stats.translation_micros(), n * (n - 1) / 2, "every session summed");
+        let times = stats.translation_times();
+        assert_eq!(times.len(), SESSION_WINDOW);
+        assert_eq!(times[0], SimDuration::from_micros(extra), "the oldest fell off");
+        assert_eq!(stats.error_count(), ERROR_WINDOW as u64 + extra);
+        assert_eq!(stats.errors().len(), ERROR_WINDOW);
+        assert_eq!(stats.errors()[0], format!("error {extra}"));
+
+        // Merging adds counts exactly and keeps the windows bounded.
+        let merged = BridgeStats::new();
+        merged.merge_from(&stats);
+        merged.merge_from(&stats);
+        assert_eq!(merged.session_count(), 2 * stats.session_count());
+        assert_eq!(merged.translation_micros(), 2 * stats.translation_micros());
+        assert_eq!(merged.error_count(), 2 * stats.error_count());
+        assert_eq!(merged.sessions().len(), SESSION_WINDOW);
+        assert_eq!(merged.errors().len(), ERROR_WINDOW);
     }
 
     #[test]

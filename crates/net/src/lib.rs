@@ -17,6 +17,8 @@
 //! * [`Actor`]/[`Context`] — host behaviour: bind ports, join groups,
 //!   send datagrams, open TCP connections, set timers;
 //! * [`SimNet`] — the event loop;
+//! * [`TraceEvent`]/[`TraceRing`] — the typed, fixed-capacity event
+//!   trace every simulation records;
 //! * [`LoopbackUdp`] — real-socket smoke-test engine.
 //!
 //! ## Example
@@ -51,6 +53,7 @@ mod reactor;
 mod realnet;
 mod sim;
 mod time;
+mod trace;
 
 pub use addr::SimAddr;
 pub use bytes::Bytes;
@@ -64,6 +67,10 @@ pub use realnet::{
 };
 pub use sim::{
     Actor, ConnId, Context, Datagram, DelayedActor, ExternalTcpEvent, Impairments, PassSchedule,
-    SimNet, TcpEvent, TimerId, TraceEntry,
+    SimNet, TcpEvent, TimerId,
 };
 pub use time::{SimDuration, SimTime};
+pub use trace::{
+    Leg, LinkEnd, LinkFate, SessionKey, TraceEntry, TraceEvent, TraceIter, TraceKind, TraceRing,
+    TRACE_CAP,
+};

@@ -504,7 +504,8 @@ impl UdpBridge {
         self.sim.join_group_external(group, SimAddr::new("127.0.0.1", real_port));
     }
 
-    /// The gateway simulation's delivery trace (debugging aid).
+    /// Events the gateway simulation's trace ring retains (at most
+    /// [`crate::TRACE_CAP`]; debugging aid).
     pub fn trace_len(&self) -> usize {
         self.sim.trace().len()
     }

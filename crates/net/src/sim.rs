@@ -10,9 +10,11 @@ use crate::addr::SimAddr;
 use crate::error::{NetError, Result};
 use crate::latency::LatencyModel;
 use crate::time::{SimDuration, SimTime};
+use crate::trace::{LinkEnd, LinkFate, TraceEntry, TraceEvent, TraceRing};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::Arc;
@@ -397,11 +399,11 @@ impl<A: Actor> Actor for DelayedActor<A> {
     }
 }
 
+/// An open TCP connection; closing it (from either end) removes it.
 #[derive(Debug)]
 struct Connection {
     initiator: SimAddr,
     target: SimAddr,
-    open: bool,
 }
 
 #[derive(Debug)]
@@ -519,15 +521,6 @@ pub enum ExternalTcpEvent {
     },
 }
 
-/// One line of the delivery trace (debugging/verification aid).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// When the entry was recorded.
-    pub at: SimTime,
-    /// What happened.
-    pub description: String,
-}
-
 #[derive(Debug)]
 struct World {
     now: SimTime,
@@ -543,7 +536,7 @@ struct World {
     next_ephemeral: u16,
     next_timer: u64,
     cancelled_timers: BTreeSet<u64>,
-    trace: Vec<TraceEntry>,
+    trace: TraceRing,
     hosts: BTreeSet<Arc<str>>,
     /// Hosts that live *outside* the simulation (real sockets behind a
     /// gateway loop). Unicast datagrams addressed to them are queued in
@@ -588,9 +581,9 @@ impl World {
         self.latency.sample(&mut self.rng)
     }
 
-    fn trace(&mut self, description: String) {
+    fn trace(&mut self, event: TraceEvent) {
         let at = self.now;
-        self.trace.push(TraceEntry { at, description });
+        self.trace.push(TraceEntry { at, event });
     }
 
     /// The canonical (ordered) key of a host pair in the partition table.
@@ -616,7 +609,7 @@ impl World {
                     true
                 } else {
                     self.partitions.remove(&key);
-                    self.trace(format!("chaos partition healed {} <-> {}", key.0, key.1));
+                    self.trace(TraceEvent::PartitionHealed { a: key.0, b: key.1 });
                     false
                 }
             }
@@ -648,19 +641,17 @@ impl World {
             .collect();
         for key in healed {
             self.partitions.remove(&key);
-            self.trace(format!("chaos partition healed {} <-> {}", key.0, key.1));
+            self.trace(TraceEvent::PartitionHealed { a: key.0, b: key.1 });
         }
     }
 
-    /// The trace rendering of one link traversal's receiving end: the
-    /// addressed endpoint, plus the physical member host when they
-    /// differ (multicast fan-out impairs each member's link separately).
-    fn link_target(to: &SimAddr, dest_host: &Arc<str>) -> String {
-        if to.host.as_ref() == dest_host.as_ref() {
-            to.to_string()
-        } else {
-            format!("{to} (member {dest_host})")
-        }
+    /// Records what happened on one link traversal towards `to`,
+    /// received by the physical host `dest_host` (a group member for
+    /// multicast fan-out, impaired on its own link).
+    fn trace_link(&mut self, fate: LinkFate, from: &SimAddr, to: &SimAddr, dest_host: &Arc<str>) {
+        let member = (to.host.as_ref() != dest_host.as_ref()).then(|| dest_host.clone());
+        let to = LinkEnd { to: to.clone(), member };
+        self.trace(TraceEvent::Link { fate, from: from.clone(), to });
     }
 
     /// Decides the fate of one link traversal of a datagram between
@@ -677,8 +668,7 @@ impl World {
         deferrable: bool,
     ) -> Fate {
         if !self.pass.is_inert() && !self.pass.open_at(self.now, &from.host, dest_host) {
-            let target = World::link_target(to, dest_host);
-            self.trace(format!("pass closed {from} -> {target}"));
+            self.trace_link(LinkFate::PassClosed, from, to, dest_host);
             return Fate::Dropped;
         }
         if self.impairments.is_inert() {
@@ -695,8 +685,7 @@ impl World {
             }
         }
         if self.partition_active(&from.host, dest_host) {
-            let target = World::link_target(to, dest_host);
-            self.trace(format!("chaos partition drop {from} -> {target}"));
+            self.trace_link(LinkFate::PartitionDrop, from, to, dest_host);
             return Fate::Dropped;
         }
         if self.chaos_hits(self.impairments.partition_permille) {
@@ -706,20 +695,18 @@ impl World {
             self.sweep_partitions();
             let heal_at = self.now + self.impairments.partition_window;
             let key = World::pair_key(&from.host, dest_host);
-            self.trace(format!("chaos partition {} <-> {} until {heal_at}", key.0, key.1));
+            let (a, b) = (key.0.clone(), key.1.clone());
+            self.trace(TraceEvent::Partition { a, b, until: Some(heal_at) });
             self.partitions.insert(key, Some(heal_at));
-            let target = World::link_target(to, dest_host);
-            self.trace(format!("chaos partition drop {from} -> {target}"));
+            self.trace_link(LinkFate::PartitionDrop, from, to, dest_host);
             return Fate::Dropped;
         }
         if self.chaos_hits(self.impairments.drop_permille) {
-            let target = World::link_target(to, dest_host);
-            self.trace(format!("chaos drop {from} -> {target}"));
+            self.trace_link(LinkFate::Drop, from, to, dest_host);
             return Fate::Dropped;
         }
         let copies = if self.chaos_hits(self.impairments.duplicate_permille) {
-            let target = World::link_target(to, dest_host);
-            self.trace(format!("chaos dup {from} -> {target}"));
+            self.trace_link(LinkFate::Dup, from, to, dest_host);
             2
         } else {
             1
@@ -744,8 +731,7 @@ impl World {
                         );
                 }
                 if extra > SimDuration::ZERO {
-                    let target = World::link_target(to, dest_host);
-                    self.trace(format!("chaos delay {from} -> {target} +{extra}"));
+                    self.trace_link(LinkFate::Delay(extra), from, to, dest_host);
                 }
             }
             let corrupt = self.chaos_hits(self.impairments.corrupt_permille);
@@ -757,13 +743,14 @@ impl World {
     /// Applies a corrupt verdict: XOR-flips one chaos-chosen payload
     /// byte (no-op — traced — on empty payloads).
     fn corrupt_payload(&mut self, from: &SimAddr, to: &SimAddr, payload: &Bytes) -> Bytes {
+        let (from, to) = (from.clone(), to.clone());
         if payload.is_empty() {
-            self.trace(format!("chaos corrupt {from} -> {to} (empty payload, untouched)"));
+            self.trace(TraceEvent::Corrupt { from, to, flip: None });
             return payload.clone();
         }
         let index = self.chaos_rng.gen_range(0..payload.len() as u64) as usize;
         let flip = self.chaos_rng.gen_range(1u64..=255) as u8;
-        self.trace(format!("chaos corrupt {from} -> {to} [{index}] ^{flip:#04x}"));
+        self.trace(TraceEvent::Corrupt { from, to, flip: Some((index, flip)) });
         let mut bytes = payload.to_vec();
         bytes[index] ^= flip;
         Bytes::from(bytes)
@@ -843,12 +830,8 @@ impl World {
         let key = World::pair_key(&datagram.from.host, &to_host);
         let bandwidth = self.link_bandwidth;
         let now = self.now;
-        let line = format!(
-            "bw start {} -> {} ({} bytes)",
-            datagram.from,
-            World::link_target(&datagram.to, &to_host),
-            datagram.payload.len()
-        );
+        let fate = LinkFate::BwStart(datagram.payload.len());
+        self.trace_link(fate, &datagram.from, &datagram.to, &to_host);
         // Empty payloads still cost one micro-byte so every transfer
         // passes through the tick machinery uniformly.
         let remaining = (datagram.payload.len() as u64).saturating_mul(1_000_000).max(1);
@@ -862,7 +845,6 @@ impl World {
         state.gen += 1;
         let gen = state.gen;
         let delta = World::next_tick_delta(state, bandwidth);
-        self.trace(line);
         self.schedule(now + delta, key.0.clone(), EventKind::LinkTick { link: key, gen });
     }
 
@@ -924,11 +906,8 @@ impl World {
             }
         }
         for transfer in done {
-            self.trace(format!(
-                "bw done {} -> {}",
-                transfer.datagram.from,
-                World::link_target(&transfer.datagram.to, &transfer.to_host)
-            ));
+            let Transfer { datagram, to_host, .. } = &transfer;
+            self.trace_link(LinkFate::BwDone, &datagram.from, &datagram.to, to_host);
             if transfer.egress {
                 self.egress.push(transfer.datagram);
             } else {
@@ -1023,11 +1002,12 @@ impl Context<'_> {
                 .get(&to)
                 .map(|m| m.iter().filter(|h| h.as_ref() != self.host.as_ref()).cloned().collect())
                 .unwrap_or_default();
-            self.world.trace(format!(
-                "udp multicast {from} -> {to} ({} bytes, {} members)",
-                payload.len(),
-                members.len()
-            ));
+            self.world.trace(TraceEvent::UdpMulticast {
+                from: from.clone(),
+                group: to.clone(),
+                bytes: payload.len(),
+                members: members.len(),
+            });
             for member in members {
                 self.world.deliver_datagram(
                     member,
@@ -1041,7 +1021,11 @@ impl Context<'_> {
                 .map(|m| m.iter().cloned().collect())
                 .unwrap_or_default();
             for member in external {
-                self.world.trace(format!("udp egress {from} -> {member} (group {to})"));
+                self.world.trace(TraceEvent::UdpEgressMember {
+                    from: from.clone(),
+                    member: member.clone(),
+                    group: to.clone(),
+                });
                 self.world.queue_egress(Datagram {
                     from: from.clone(),
                     to: member,
@@ -1049,16 +1033,18 @@ impl Context<'_> {
                 });
             }
         } else if self.world.external_hosts.contains(&to.host) {
-            self.world.trace(format!("udp egress {from} -> {to} ({} bytes)", payload.len()));
+            let bytes = payload.len();
+            self.world.trace(TraceEvent::UdpEgress { from: from.clone(), to: to.clone(), bytes });
             self.world.queue_egress(Datagram { from, to, payload });
         } else {
             let bound = self.world.udp_bindings.contains(&(to.host.clone(), to.port));
             if bound {
-                self.world.trace(format!("udp {from} -> {to} ({} bytes)", payload.len()));
+                let bytes = payload.len();
+                self.world.trace(TraceEvent::Udp { from: from.clone(), to: to.clone(), bytes });
                 let to_host = to.host.clone();
                 self.world.deliver_datagram(to_host, Datagram { from, to, payload });
             } else {
-                self.world.trace(format!("udp {from} -> {to} dropped (no binding)"));
+                self.world.trace(TraceEvent::UdpUnbound { from, to });
             }
         }
     }
@@ -1085,7 +1071,7 @@ impl Context<'_> {
         }
         let local = self.host.clone();
         if self.world.partition_active(&local, &to.host) {
-            self.world.trace(format!("chaos partition refused tcp {local} -> {to}"));
+            self.world.trace(TraceEvent::TcpRefused { from: local, port: None, to: to.clone() });
             return Err(NetError::ConnectionRefused {
                 host: to.host.as_ref().to_owned(),
                 port: to.port,
@@ -1096,11 +1082,15 @@ impl Context<'_> {
         let local_port = self.world.next_ephemeral;
         self.world.next_ephemeral = self.world.next_ephemeral.wrapping_add(1).max(49152);
         let initiator = SimAddr::new(self.host.clone(), local_port);
-        self.world.connections.insert(
-            conn,
-            Connection { initiator: initiator.clone(), target: to.clone(), open: true },
-        );
-        self.world.trace(format!("tcp connect {initiator} -> {to} (#{conn})"));
+        self.world
+            .connections
+            .insert(conn, Connection { initiator: initiator.clone(), target: to.clone() });
+        self.world.trace(TraceEvent::TcpConnect {
+            conn: ConnId(conn),
+            from: initiator.clone(),
+            to: to.clone(),
+            external: false,
+        });
         let one_way = self.world.latency();
         let accepted_at = self.world.now + one_way;
         self.world.schedule(
@@ -1126,24 +1116,13 @@ impl Context<'_> {
     /// Returns [`NetError::NotConnected`] for unknown/closed connections.
     pub fn tcp_send(&mut self, conn: ConnId, payload: impl Into<Bytes>) -> Result<()> {
         let payload: Bytes = payload.into();
-        let (peer_host, description) = {
-            let connection = self
-                .world
-                .connections
-                .get(&conn.0)
-                .filter(|c| c.open)
-                .ok_or(NetError::NotConnected(conn.0))?;
-            let peer = if connection.initiator.host.as_ref() == self.host.as_ref() {
-                connection.target.host.clone()
-            } else {
-                connection.initiator.host.clone()
-            };
-            (
-                peer.clone(),
-                format!("tcp data #{} {} -> {peer} ({} bytes)", conn.0, self.host, payload.len()),
-            )
-        };
-        self.world.trace(description);
+        let peer_host = self.peer_of(conn)?;
+        self.world.trace(TraceEvent::TcpData {
+            conn,
+            from: self.host.clone(),
+            to: peer_host.clone(),
+            bytes: payload.len(),
+        });
         if self.world.external_hosts.contains(&peer_host) {
             // The far end is a real endpoint behind a gateway loop: the
             // bytes leave the simulation instead of being scheduled (the
@@ -1163,21 +1142,9 @@ impl Context<'_> {
     ///
     /// Returns [`NetError::NotConnected`] for unknown/closed connections.
     pub fn tcp_close(&mut self, conn: ConnId) -> Result<()> {
-        let peer_host = {
-            let connection = self
-                .world
-                .connections
-                .get_mut(&conn.0)
-                .filter(|c| c.open)
-                .ok_or(NetError::NotConnected(conn.0))?;
-            connection.open = false;
-            if connection.initiator.host.as_ref() == self.host.as_ref() {
-                connection.target.host.clone()
-            } else {
-                connection.initiator.host.clone()
-            }
-        };
-        self.world.trace(format!("tcp close #{} by {}", conn.0, self.host));
+        let peer_host = self.peer_of(conn)?;
+        self.world.connections.remove(&conn.0);
+        self.world.trace(TraceEvent::TcpClose { conn, by: self.host.clone() });
         if self.world.external_hosts.contains(&peer_host) {
             self.world.tcp_egress.push(ExternalTcpEvent::Closed { conn });
             return Ok(());
@@ -1186,6 +1153,17 @@ impl Context<'_> {
         let at = self.world.now + latency;
         self.world.schedule(at, peer_host, EventKind::TcpClosed { conn: conn.0 });
         Ok(())
+    }
+
+    /// The far end's host of an open connection.
+    fn peer_of(&self, conn: ConnId) -> Result<Arc<str>> {
+        let connection =
+            self.world.connections.get(&conn.0).ok_or(NetError::NotConnected(conn.0))?;
+        Ok(if connection.initiator.host.as_ref() == self.host.as_ref() {
+            connection.target.host.clone()
+        } else {
+            connection.initiator.host.clone()
+        })
     }
 
     /// Schedules a timer for this actor after `delay`; `tag` is returned
@@ -1259,9 +1237,15 @@ impl Context<'_> {
         }
     }
 
-    /// Appends a line to the simulation trace.
-    pub fn trace(&mut self, description: impl Into<String>) {
-        self.world.trace(description.into());
+    /// Records a free-text note in the simulation trace (a `&'static
+    /// str` records without allocating).
+    pub fn trace(&mut self, note: impl Into<Cow<'static, str>>) {
+        self.world.trace(TraceEvent::Note(note.into()));
+    }
+
+    /// Records a typed event in the simulation trace.
+    pub fn record(&mut self, event: TraceEvent) {
+        self.world.trace(event);
     }
 }
 
@@ -1327,7 +1311,7 @@ impl SimNet {
                 next_ephemeral: 49152,
                 next_timer: 1,
                 cancelled_timers: BTreeSet::new(),
-                trace: Vec::new(),
+                trace: TraceRing::default(),
                 hosts: BTreeSet::new(),
                 external_hosts: BTreeSet::new(),
                 external_group_members: BTreeMap::new(),
@@ -1398,7 +1382,8 @@ impl SimNet {
     /// connections are untouched (TCP models a reliable transport).
     pub fn partition(&mut self, a: impl Into<Arc<str>>, b: impl Into<Arc<str>>) {
         let key = World::pair_key(&a.into(), &b.into());
-        self.world.trace(format!("chaos partition {} <-> {} until healed", key.0, key.1));
+        let (a, b) = (key.0.clone(), key.1.clone());
+        self.world.trace(TraceEvent::Partition { a, b, until: None });
         self.world.partitions.insert(key, None);
     }
 
@@ -1411,7 +1396,8 @@ impl SimNet {
     ) {
         let heal_at = self.world.now + window;
         let key = World::pair_key(&a.into(), &b.into());
-        self.world.trace(format!("chaos partition {} <-> {} until {heal_at}", key.0, key.1));
+        let (a, b) = (key.0.clone(), key.1.clone());
+        self.world.trace(TraceEvent::Partition { a, b, until: Some(heal_at) });
         self.world.partitions.insert(key, Some(heal_at));
     }
 
@@ -1419,17 +1405,18 @@ impl SimNet {
     pub fn heal_partition(&mut self, a: impl Into<Arc<str>>, b: impl Into<Arc<str>>) {
         let key = World::pair_key(&a.into(), &b.into());
         if self.world.partitions.remove(&key).is_some() {
-            self.world.trace(format!("chaos partition healed {} <-> {}", key.0, key.1));
+            self.world.trace(TraceEvent::PartitionHealed { a: key.0, b: key.1 });
         }
     }
 
-    /// The whole trace as one newline-terminated text block
-    /// (`<micros> <description>` per line) — the byte-comparable form the
+    /// The retained trace as one newline-terminated text block
+    /// (`<micros> <event>` per line) — the byte-comparable form the
     /// chaos determinism tests and failure dumps use.
     pub fn trace_text(&self) -> String {
+        use std::fmt::Write as _;
         let mut out = String::new();
         for entry in &self.world.trace {
-            out.push_str(&format!("{} {}\n", entry.at.as_micros(), entry.description));
+            let _ = writeln!(out, "{} {}", entry.at.as_micros(), entry.event);
         }
         out
     }
@@ -1504,7 +1491,11 @@ impl SimNet {
             });
         }
         if self.world.partition_active(&from.host, &to.host) {
-            self.world.trace(format!("chaos partition refused tcp {from} -> {to}"));
+            self.world.trace(TraceEvent::TcpRefused {
+                from: from.host.clone(),
+                port: Some(from.port),
+                to: to.clone(),
+            });
             return Err(NetError::ConnectionRefused {
                 host: to.host.as_ref().to_owned(),
                 port: to.port,
@@ -1515,8 +1506,13 @@ impl SimNet {
         self.world.next_conn += 1;
         self.world
             .connections
-            .insert(conn, Connection { initiator: from.clone(), target: to.clone(), open: true });
-        self.world.trace(format!("tcp connect (external) {from} -> {to} (#{conn})"));
+            .insert(conn, Connection { initiator: from.clone(), target: to.clone() });
+        self.world.trace(TraceEvent::TcpConnect {
+            conn: ConnId(conn),
+            from: from.clone(),
+            to: to.clone(),
+            external: true,
+        });
         let now = self.world.now;
         self.world.schedule(
             now,
@@ -1550,9 +1546,7 @@ impl SimNet {
     /// connections.
     pub fn inject_tcp_close(&mut self, conn: ConnId) -> Result<()> {
         let sim_host = self.external_conn_sim_side(conn)?;
-        if let Some(connection) = self.world.connections.get_mut(&conn.0) {
-            connection.open = false;
-        }
+        self.world.connections.remove(&conn.0);
         let now = self.world.now;
         self.world.schedule(now, sim_host, EventKind::TcpClosed { conn: conn.0 });
         Ok(())
@@ -1560,12 +1554,8 @@ impl SimNet {
 
     /// The simulated end of a connection with one external endpoint.
     fn external_conn_sim_side(&self, conn: ConnId) -> Result<Arc<str>> {
-        let connection = self
-            .world
-            .connections
-            .get(&conn.0)
-            .filter(|c| c.open)
-            .ok_or(NetError::NotConnected(conn.0))?;
+        let connection =
+            self.world.connections.get(&conn.0).ok_or(NetError::NotConnected(conn.0))?;
         Ok(if self.world.external_hosts.contains(&connection.initiator.host) {
             connection.target.host.clone()
         } else {
@@ -1586,7 +1576,7 @@ impl SimNet {
     /// runs no actor.
     pub fn deliver_control(&mut self, host: &str, payload: Box<dyn std::any::Any + Send>) {
         let Some(slot) = self.actors.get_mut(host) else {
-            self.world.trace(format!("control payload for unknown host {host} dropped"));
+            self.world.trace(TraceEvent::ControlUnknownHost { host: host.to_owned() });
             return;
         };
         let Some(mut actor) = slot.take() else {
@@ -1622,9 +1612,15 @@ impl SimNet {
         self.world.now
     }
 
-    /// The delivery trace accumulated so far.
-    pub fn trace(&self) -> &[TraceEntry] {
+    /// The trace ring: the most recent events (at most
+    /// [`crate::TRACE_CAP`]) plus counts of everything recorded.
+    pub fn trace(&self) -> &TraceRing {
         &self.world.trace
+    }
+
+    /// TCP connections currently open (closed ones are forgotten).
+    pub fn open_connections(&self) -> usize {
+        self.world.connections.len()
     }
 
     /// Number of pending events.
@@ -1805,7 +1801,7 @@ mod tests {
         sim.add_actor("10.0.0.1", OneShot { to: SimAddr::new("10.0.0.2", 80) });
         sim.run_until_idle();
         assert_eq!(received.load(Ordering::SeqCst), 0);
-        assert!(sim.trace().iter().any(|t| t.description.contains("dropped")));
+        assert!(sim.trace().iter().any(|t| t.event.to_string().contains("dropped")));
     }
 
     #[test]

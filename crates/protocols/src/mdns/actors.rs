@@ -4,6 +4,7 @@
 use crate::calibration::Calibration;
 use crate::mdns::wire::{self, DnsMessage, DnsQuestion, DnsResponse, MDNS_GROUP, MDNS_PORT};
 use crate::probe::DiscoveryProbe;
+use crate::util::Slots;
 use starlink_net::{Actor, Context, Datagram, SimAddr, SimTime};
 
 /// A Bonjour browse client: multicasts one PTR question and records the
@@ -68,13 +69,19 @@ pub struct BonjourService {
     qname: String,
     url: String,
     calibration: Calibration,
-    pending: Vec<Option<(DnsQuestion, SimAddr)>>,
+    /// Questions awaiting their calibrated answer, by timer tag.
+    pending: Slots<(DnsQuestion, SimAddr)>,
 }
 
 impl BonjourService {
     /// Creates a responder for `qname` advertising `url`.
     pub fn new(qname: impl Into<String>, url: impl Into<String>, calibration: Calibration) -> Self {
-        BonjourService { qname: qname.into(), url: url.into(), calibration, pending: Vec::new() }
+        BonjourService {
+            qname: qname.into(),
+            url: url.into(),
+            calibration,
+            pending: Slots::default(),
+        }
     }
 }
 
@@ -92,14 +99,12 @@ impl Actor for BonjourService {
             return;
         }
         let delay = self.calibration.mdns_service_delay.sample(ctx);
-        let tag = self.pending.len() as u64;
-        self.pending.push(Some((question, datagram.from)));
+        let tag = self.pending.insert((question, datagram.from)) as u64;
         ctx.set_timer(delay, tag);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        let Some(slot) = self.pending.get_mut(tag as usize) else { return };
-        let Some((question, reply_to)) = slot.take() else { return };
+        let Some((question, reply_to)) = self.pending.take(tag as usize) else { return };
         let response = DnsResponse::new(question.id, question.qname, self.url.clone());
         let wire = wire::encode(&DnsMessage::Response(response)).expect("encodable response");
         ctx.udp_send(MDNS_PORT, reply_to, wire);
@@ -109,7 +114,21 @@ impl Actor for BonjourService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::testing::peak_slots;
     use starlink_net::SimNet;
+
+    #[test]
+    fn pending_table_never_exceeds_the_requests_in_flight() {
+        let qname = "_printer._tcp.local";
+        let service =
+            BonjourService::new(qname, "service:printer://10.0.0.3:631", Calibration::fast());
+        let client = |probe| {
+            Box::new(BonjourClient::new(qname, Calibration::fast(), probe)) as Box<dyn Actor>
+        };
+        let (peak, answered) = peak_slots(service, |s| s.pending.capacity(), client, 4, 5);
+        assert_eq!(answered, 20, "every wave was answered");
+        assert_eq!(peak, 4, "answered slots were reused across waves");
+    }
 
     #[test]
     fn native_bonjour_lookup_roundtrip() {

@@ -5,6 +5,7 @@
 use crate::calibration::Calibration;
 use crate::probe::DiscoveryProbe;
 use crate::slp::wire::{self, SlpMessage, SrvRply, SrvRqst, SLP_GROUP, SLP_PORT};
+use crate::util::Slots;
 use starlink_net::{Actor, Context, Datagram, SimAddr, SimTime};
 
 /// The UDP port legacy SLP clients bind for replies (distinct from the
@@ -59,7 +60,8 @@ pub struct SlpService {
     service_type: String,
     url: String,
     calibration: Calibration,
-    pending: Vec<Option<(SrvRqst, SimAddr)>>,
+    /// Requests awaiting their calibrated reply, by timer tag.
+    pending: Slots<(SrvRqst, SimAddr)>,
 }
 
 impl SlpService {
@@ -73,7 +75,7 @@ impl SlpService {
             service_type: service_type.into(),
             url: url.into(),
             calibration,
-            pending: Vec::new(),
+            pending: Slots::default(),
         }
     }
 }
@@ -92,14 +94,12 @@ impl Actor for SlpService {
             return;
         }
         let delay = self.calibration.slp_service_delay.sample(ctx);
-        let tag = self.pending.len() as u64;
-        self.pending.push(Some((rqst, datagram.from)));
+        let tag = self.pending.insert((rqst, datagram.from)) as u64;
         ctx.set_timer(delay, tag);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        let Some(slot) = self.pending.get_mut(tag as usize) else { return };
-        let Some((rqst, reply_to)) = slot.take() else { return };
+        let Some((rqst, reply_to)) = self.pending.take(tag as usize) else { return };
         let mut rply = SrvRply::new(rqst.xid, self.url.clone());
         rply.lang_tag = rqst.lang_tag;
         let wire = wire::encode(&SlpMessage::SrvRply(rply));
@@ -110,7 +110,21 @@ impl Actor for SlpService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::testing::peak_slots;
     use starlink_net::SimNet;
+
+    #[test]
+    fn pending_table_never_exceeds_the_requests_in_flight() {
+        let service = SlpService::new(
+            "service:printer",
+            "service:printer://10.0.0.3:631",
+            Calibration::fast(),
+        );
+        let client = |probe| Box::new(SlpClient::new("service:printer", probe)) as Box<dyn Actor>;
+        let (peak, answered) = peak_slots(service, |s| s.pending.capacity(), client, 4, 5);
+        assert_eq!(answered, 20, "every wave was answered");
+        assert_eq!(peak, 4, "answered slots were reused across waves");
+    }
 
     #[test]
     fn native_slp_lookup_roundtrip() {

@@ -7,10 +7,11 @@ use crate::calibration::Calibration;
 use crate::http::{self, HttpGet, HttpMessage, HttpOk, UPNP_HTTP_PORT};
 use crate::probe::DiscoveryProbe;
 use crate::ssdp::{self, MSearch, SsdpMessage, SsdpResponse, SSDP_GROUP, SSDP_PORT};
+use crate::util::Slots;
 use starlink_net::{Actor, ConnId, Context, Datagram, SimAddr, SimTime, TcpEvent};
 
-/// Device timers interleave two unbounded pending queues on one tag
-/// space: searches on even tags (`2·index`), GETs on odd (`2·index+1`).
+/// Device timers interleave two pending tables on one tag space:
+/// searches on even tags (`2·index`), GETs on odd (`2·index+1`).
 /// (A fixed split point — searches at `1000+index`, GETs at `2000+index`
 /// — capped the device at 1000 concurrent searches: the 1001st search's
 /// tag landed in the GET range and its response was never sent. The
@@ -30,9 +31,9 @@ pub struct UpnpDevice {
     host: String,
     calibration: Calibration,
     /// Pending SSDP responses: (search, requester).
-    pending_searches: Vec<Option<(MSearch, SimAddr)>>,
+    pending_searches: Slots<(MSearch, SimAddr)>,
     /// Pending HTTP responses: connection awaiting the description.
-    pending_gets: Vec<Option<ConnId>>,
+    pending_gets: Slots<ConnId>,
 }
 
 impl UpnpDevice {
@@ -47,8 +48,8 @@ impl UpnpDevice {
             service_type: service_type.into(),
             host: host.into(),
             calibration,
-            pending_searches: Vec::new(),
-            pending_gets: Vec::new(),
+            pending_searches: Slots::default(),
+            pending_gets: Slots::default(),
         }
     }
 
@@ -77,9 +78,8 @@ impl Actor for UpnpDevice {
         }
         // Respond within the device's calibrated slice of the MX window.
         let delay = self.calibration.ssdp_device_delay.sample(ctx);
-        let tag = 2 * self.pending_searches.len() as u64 + TAG_SEARCH_PARITY;
-        self.pending_searches.push(Some((search, datagram.from)));
-        ctx.set_timer(delay, tag);
+        let index = self.pending_searches.insert((search, datagram.from)) as u64;
+        ctx.set_timer(delay, 2 * index + TAG_SEARCH_PARITY);
     }
 
     fn on_tcp(&mut self, ctx: &mut Context<'_>, event: TcpEvent) {
@@ -89,29 +89,22 @@ impl Actor for UpnpDevice {
                 return;
             };
             let delay = self.calibration.http_device_delay.sample(ctx);
-            let tag = 2 * self.pending_gets.len() as u64 + TAG_GET_PARITY;
-            self.pending_gets.push(Some(conn));
-            ctx.set_timer(delay, tag);
+            let index = self.pending_gets.insert(conn) as u64;
+            ctx.set_timer(delay, 2 * index + TAG_GET_PARITY);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         let index = (tag / 2) as usize;
         if tag % 2 == TAG_GET_PARITY {
-            let Some(Some(conn)) = self.pending_gets.get_mut(index).map(Option::take) else {
-                return;
-            };
+            let Some(conn) = self.pending_gets.take(index) else { return };
             let body = http::device_description(&self.url_base(), &self.service_type);
             let wire = http::encode(&HttpMessage::Ok(HttpOk::xml(body)));
             if let Err(err) = ctx.tcp_send(conn, wire) {
                 ctx.trace(format!("upnp device: send failed: {err}"));
             }
         } else {
-            let Some(Some((search, reply_to))) =
-                self.pending_searches.get_mut(index).map(Option::take)
-            else {
-                return;
-            };
+            let Some((search, reply_to)) = self.pending_searches.take(index) else { return };
             let response =
                 SsdpResponse::new(search.st, format!("uuid:device-{}", self.host), self.location());
             let wire = ssdp::encode(&SsdpMessage::Response(response));
@@ -254,7 +247,21 @@ fn parse_location(location: &str) -> (String, u16) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::testing::peak_slots;
     use starlink_net::SimNet;
+
+    #[test]
+    fn pending_tables_never_exceed_the_requests_in_flight() {
+        let device = UpnpDevice::new("urn:x:printer:1", "10.0.0.3", Calibration::fast());
+        let client = |probe| {
+            Box::new(UpnpClient::new("urn:x:printer:1", Calibration::fast(), probe))
+                as Box<dyn Actor>
+        };
+        let slots = |d: &UpnpDevice| d.pending_searches.capacity().max(d.pending_gets.capacity());
+        let (peak, answered) = peak_slots(device, slots, client, 4, 5);
+        assert_eq!(answered, 20, "every wave was answered");
+        assert_eq!(peak, 4, "answered slots were reused across waves");
+    }
 
     #[test]
     fn native_upnp_discovery_roundtrip() {

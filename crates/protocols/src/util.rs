@@ -1,6 +1,53 @@
-//! Byte-level helpers shared by the native binary codecs (SLP, DNS).
+//! Byte-level helpers shared by the native binary codecs (SLP, DNS),
+//! and the slot table the legacy service actors park pending answers in.
 
 use crate::WireError;
+
+/// An index-addressed table whose freed slots are reused: a service
+/// actor parks each pending answer under a slot index (its timer tag),
+/// and the table never holds more slots than answers were ever pending
+/// at once.
+#[derive(Debug)]
+pub(crate) struct Slots<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<usize>,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots { slots: Vec::new(), free: Vec::new() }
+    }
+}
+
+impl<T> Slots<T> {
+    /// Parks `value` in a free slot (a fresh one when none is free) and
+    /// returns its index.
+    pub(crate) fn insert(&mut self, value: T) -> usize {
+        match self.free.pop() {
+            Some(index) => {
+                self.slots[index] = Some(value);
+                index
+            }
+            None => {
+                self.slots.push(Some(value));
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    /// Takes the value parked at `index`, freeing the slot.
+    pub(crate) fn take(&mut self, index: usize) -> Option<T> {
+        let value = self.slots.get_mut(index)?.take()?;
+        self.free.push(index);
+        Some(value)
+    }
+
+    /// Slots allocated: the peak number of values parked at once.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+}
 
 /// Cursor over a byte slice with big-endian integer reads.
 #[derive(Debug, Clone)]
@@ -152,9 +199,94 @@ pub(crate) fn read_dns_name(cursor: &mut Cursor<'_>) -> Result<String, WireError
     Ok(labels.join("."))
 }
 
+/// Test support for the service actors' slot tables.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::probe::DiscoveryProbe;
+    use starlink_net::{Actor, Context, Datagram, DelayedActor, SimDuration, SimNet, TcpEvent};
+
+    /// A service actor plus the peak of its slot count, read after
+    /// every event it handles.
+    struct Watched<A> {
+        inner: A,
+        slots: fn(&A) -> usize,
+        peak: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl<A> Watched<A> {
+        fn observe(&self) {
+            self.peak.fetch_max((self.slots)(&self.inner), std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl<A: Actor> Actor for Watched<A> {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.inner.on_start(ctx);
+            self.observe();
+        }
+
+        fn on_datagram(&mut self, ctx: &mut Context<'_>, datagram: Datagram) {
+            self.inner.on_datagram(ctx, datagram);
+            self.observe();
+        }
+
+        fn on_tcp(&mut self, ctx: &mut Context<'_>, event: TcpEvent) {
+            self.inner.on_tcp(ctx, event);
+            self.observe();
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+            self.inner.on_timer(ctx, tag);
+            self.observe();
+        }
+    }
+
+    /// Runs `service` at `10.0.0.3` against `waves` waves of `burst`
+    /// clients that all start together (one wave per virtual second),
+    /// and returns the peak slot count `slots` read and how many
+    /// lookups completed.
+    pub(crate) fn peak_slots<A: Actor + 'static>(
+        service: A,
+        slots: fn(&A) -> usize,
+        client: impl Fn(DiscoveryProbe) -> Box<dyn Actor>,
+        burst: usize,
+        waves: usize,
+    ) -> (usize, usize) {
+        let peak = std::sync::Arc::default();
+        let probe = DiscoveryProbe::new();
+        let mut sim = SimNet::new(7);
+        sim.add_actor(
+            "10.0.0.3",
+            Watched { inner: service, slots, peak: std::sync::Arc::clone(&peak) },
+        );
+        for wave in 0..waves {
+            for i in 0..burst {
+                let start = SimDuration::from_secs(wave as u64);
+                sim.add_actor(
+                    format!("10.0.{}.{}", 1 + wave, 1 + i),
+                    DelayedActor::new(start, client(probe.clone())),
+                );
+            }
+        }
+        sim.run_until_idle();
+        (peak.load(std::sync::atomic::Ordering::Relaxed), probe.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slots_reuse_freed_indices() {
+        let mut slots = Slots::default();
+        assert_eq!((slots.insert('a'), slots.insert('b')), (0, 1));
+        assert_eq!(slots.take(0), Some('a'));
+        assert_eq!(slots.take(0), None, "a slot is taken once");
+        assert_eq!(slots.insert('c'), 0, "the freed slot is reused");
+        assert_eq!(slots.take(7), None);
+        assert_eq!(slots.capacity(), 2);
+    }
 
     #[test]
     fn cursor_reads_integers() {

@@ -4,6 +4,7 @@
 
 use crate::calibration::Calibration;
 use crate::probe::DiscoveryProbe;
+use crate::util::Slots;
 use crate::wsd::wire::{
     self, probe_uuid, WsdMessage, WsdProbe, WsdProbeMatch, WSD_GROUP, WSD_PORT,
 };
@@ -93,7 +94,8 @@ pub struct WsdTarget {
     types: String,
     xaddrs: String,
     calibration: Calibration,
-    pending: Vec<Option<(WsdProbe, SimAddr)>>,
+    /// Probes awaiting their calibrated match, by timer tag.
+    pending: Slots<(WsdProbe, SimAddr)>,
 }
 
 impl WsdTarget {
@@ -103,7 +105,12 @@ impl WsdTarget {
         xaddrs: impl Into<String>,
         calibration: Calibration,
     ) -> Self {
-        WsdTarget { types: types.into(), xaddrs: xaddrs.into(), calibration, pending: Vec::new() }
+        WsdTarget {
+            types: types.into(),
+            xaddrs: xaddrs.into(),
+            calibration,
+            pending: Slots::default(),
+        }
     }
 }
 
@@ -121,14 +128,12 @@ impl Actor for WsdTarget {
             return;
         }
         let delay = self.calibration.wsd_service_delay.sample(ctx);
-        let tag = self.pending.len() as u64;
-        self.pending.push(Some((probe, datagram.from)));
+        let tag = self.pending.insert((probe, datagram.from)) as u64;
         ctx.set_timer(delay, tag);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        let Some(slot) = self.pending.get_mut(tag as usize) else { return };
-        let Some((probe, reply_to)) = slot.take() else { return };
+        let Some((probe, reply_to)) = self.pending.take(tag as usize) else { return };
         let matched = WsdProbeMatch::new(
             format!("{}-match", probe.message_id),
             probe.message_id,
@@ -143,7 +148,20 @@ impl Actor for WsdTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::testing::peak_slots;
     use starlink_net::SimNet;
+
+    #[test]
+    fn pending_table_never_exceeds_the_requests_in_flight() {
+        let service =
+            WsdTarget::new("dn:printer", "http://10.0.0.3:5357/device", Calibration::fast());
+        let client = |probe| {
+            Box::new(WsdClient::new("dn:printer", Calibration::fast(), probe)) as Box<dyn Actor>
+        };
+        let (peak, answered) = peak_slots(service, |s| s.pending.capacity(), client, 4, 5);
+        assert_eq!(answered, 20, "every wave was answered");
+        assert_eq!(peak, 4, "answered slots were reused across waves");
+    }
 
     #[test]
     fn native_wsd_probe_roundtrip() {

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Show what crossed the wire.
     println!("\nnetwork trace:");
     for entry in sim.trace() {
-        println!("  [{}] {}", entry.at, entry.description);
+        println!("  [{}] {}", entry.at, entry.event);
     }
 
     let result = probe.first().expect("SLP client was answered");

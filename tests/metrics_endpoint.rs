@@ -12,7 +12,10 @@
 //! ```
 
 use starlink::core::{DeployState, MetricsHub};
-use starlink::net::{MetricsServer, SimTime, TraceEntry};
+use starlink::net::{
+    LinkEnd, LinkFate, MetricsServer, SessionKey, SimAddr, SimDuration, SimTime, TraceEntry,
+    TraceEvent,
+};
 use starlink::protocols::bridges::BridgeCase;
 use starlink_bench::{run_sharded_case, ShardedRun, ShardedWorkload};
 use std::io::{Read, Write};
@@ -51,8 +54,29 @@ fn swap_run() -> ShardedRun {
     run_sharded_case(BridgeCase::SlpToBonjour, workload)
 }
 
-fn trace(at_us: u64, description: &str) -> TraceEntry {
-    TraceEntry { at: SimTime::from_micros(at_us), description: description.to_owned() }
+fn trace(at_us: u64, event: TraceEvent) -> TraceEntry {
+    TraceEntry { at: SimTime::from_micros(at_us), event }
+}
+
+/// A fixed trace sample, one event per export kind except free-text
+/// notes, so the golden pins the trace counter family and the
+/// JSON-lines framing too.
+fn trace_sample() -> [(&'static str, TraceEntry); 4] {
+    let client = SimAddr::new("10.20.1.2", 41_000);
+    let bridge = SimAddr::new("10.0.0.2", 427);
+    let deployed =
+        TraceEvent::ControlDeployed { name: "slp-to-bonjour".into(), version: 2, coexisting: 2 };
+    let to = LinkEnd { to: bridge.clone(), member: None };
+    let dropped = TraceEvent::Link { fate: LinkFate::Drop, from: client.clone(), to };
+    let key = SessionKey::Correlated(0, 4);
+    let completed = TraceEvent::SessionComplete { key, elapsed: SimDuration::from_micros(271_443) };
+    let wire = TraceEvent::Udp { from: client, to: bridge, bytes: 39 };
+    [
+        ("shard0", trace(1_000, deployed)),
+        ("shard0", trace(2_000, dropped)),
+        ("shard1", trace(3_000, completed)),
+        ("shard1", trace(4_000, wire)),
+    ]
 }
 
 #[test]
@@ -66,12 +90,9 @@ fn metrics_page_across_a_drain_then_swap_is_golden() {
     let hub = MetricsHub::new();
     hub.register(&swap.old);
     hub.register(&swap.new);
-    // A fixed trace sample, one entry per classified kind, so the golden
-    // pins the trace counter family and the JSON-lines framing too.
-    hub.record_trace("shard0", &trace(1_000, "control: swap to v2 (2 coexisting)"));
-    hub.record_trace("shard0", &trace(2_000, "chaos drop 10.20.1.1 -> 10.0.0.2"));
-    hub.record_trace("shard1", &trace(3_000, "bridge session 4 completed"));
-    hub.record_trace("shard1", &trace(4_000, "udp 10.20.1.2:41000 -> 10.0.0.2:427 (39 bytes)"));
+    for (source, entry) in trace_sample() {
+        hub.record_trace(source, &entry);
+    }
 
     assert_golden_text("metrics_page.txt", &hub.render());
     assert_golden_text(
@@ -87,11 +108,9 @@ fn metrics_page_across_a_drain_then_swap_is_golden() {
     let hub_again = MetricsHub::new();
     hub_again.register(&swap_again.old);
     hub_again.register(&swap_again.new);
-    hub_again.record_trace("shard0", &trace(1_000, "control: swap to v2 (2 coexisting)"));
-    hub_again.record_trace("shard0", &trace(2_000, "chaos drop 10.20.1.1 -> 10.0.0.2"));
-    hub_again.record_trace("shard1", &trace(3_000, "bridge session 4 completed"));
-    hub_again
-        .record_trace("shard1", &trace(4_000, "udp 10.20.1.2:41000 -> 10.0.0.2:427 (39 bytes)"));
+    for (source, entry) in trace_sample() {
+        hub_again.record_trace(source, &entry);
+    }
     assert_eq!(hub.render(), hub_again.render(), "metrics page is deterministic");
 }
 
@@ -102,7 +121,8 @@ fn endpoint_serves_the_live_pages_over_http() {
     let hub = MetricsHub::new();
     hub.register(&swap.old);
     hub.register(&swap.new);
-    hub.record_trace("shard0", &trace(1_000, "control: swap to v2 (2 coexisting)"));
+    let [(source, deployed), ..] = trace_sample();
+    hub.record_trace(source, &deployed);
     let server = MetricsServer::serve(hub.render_fn()).expect("endpoint binds");
 
     let get = |path: &str| {
